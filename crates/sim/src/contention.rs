@@ -482,6 +482,13 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 /// queue, the struct-of-arrays node state, the arrival offsets and the
 /// network layer's corruption-probability buffer.
 ///
+/// The queue's memory follows the pending events, not the superframe
+/// span: its fine ring is capped at 2¹⁶ slots (≈2.6 MB of buckets), and
+/// times past it wait in per-block vectors of the coarse tier (see
+/// [`crate::events`]). A 10⁶-node superframe spans ~3·10⁷ slots but parks
+/// only its ~10⁶ pending arrivals. The superframe span is still validated
+/// against [`MAX_WINDOW`](crate::events::MAX_WINDOW), unchanged.
+///
 /// Node state is deliberately struct-of-arrays — RNG streams, CSMA
 /// machines, hot scalars ([`NodeHot`]), the two pending-record slots and
 /// the cold fault group ([`NodeFault`]) live in parallel vectors — so the
@@ -492,7 +499,8 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 /// A workspace is pure scratch — [`run_channel_sim_into_ws`] fully
 /// reinitializes every field from the configuration, so reusing one across
 /// runs (of *any* mix of configurations) is bit-identical to fresh
-/// allocation; it merely skips the allocations. The `workspace_reuse`
+/// allocation; it merely skips the allocations (every buffer keeps its
+/// capacity, the queue's coarse block vectors included). The `workspace_reuse`
 /// integration suite pins that equivalence. Most callers never construct
 /// one: [`run_channel_sim_into`] borrows the calling thread's implicit
 /// workspace via [`with_workspace`], which is how the parallel
@@ -753,9 +761,9 @@ where
     queue.set_stats_enabled(telem.is_some());
     queue.clear();
     // Beacons and arrivals are scheduled lazily, one superframe ahead (the
-    // farthest lookahead of any push), so the ring only ever needs to span
-    // one superframe plus the worst CSMA backoff/airtime tail; the queue
-    // holds O(active nodes) events instead of O(superframes × nodes).
+    // farthest lookahead of any push), so pending times only ever span one
+    // superframe plus the worst CSMA backoff/airtime tail; the queue holds
+    // O(active nodes) events instead of O(superframes × nodes).
     queue.reserve_window(sf_slots + WINDOW_SLACK);
     queue.push(0, PRIO_BEACON, Ev::Beacon);
     let mut beacons_left = config.superframes as u64 - 1;

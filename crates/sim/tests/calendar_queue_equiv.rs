@@ -278,3 +278,171 @@ fn pop_order_matches_heap_for_all_pushes_then_all_pops() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Spans far beyond the fine ring's cap (2¹⁶ slots), where the queue's
+// coarse tier holds every time at or past the tier boundary in blocks of
+// 2¹⁵ slots. The workloads below target its moving parts: block
+// migration, parking on backdated pushes, hops over empty blocks and
+// block-table growth.
+// ---------------------------------------------------------------------
+
+/// Width of one coarse block (half the capped fine ring), in slots.
+const BLOCK: u64 = 1 << 15;
+
+/// Pops both queues to empty, pop for pop.
+fn drain_both(calendar: &mut EventQueue<u64>, reference: &mut HeapQueue, context: &str) {
+    loop {
+        let a = calendar.pop();
+        let b = reference.pop();
+        assert_eq!(a, b, "{context}: drain divergence");
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
+#[test]
+fn pop_order_matches_heap_for_spans_beyond_the_ring_cap() {
+    // 300 k and 1 M slots: 4.6× and 15× the cap.
+    for (i, window) in [300_000u64, 1_000_000].into_iter().enumerate() {
+        for seed in 0..4u64 {
+            let seed = 0xB16_0000 + 16 * i as u64 + seed;
+            drive_equivalence(seed, 3_000, window, 0.45, 0.0);
+            // Pop-heavy: the fine ring keeps draining and refilling from
+            // the coarse blocks.
+            drive_equivalence(seed, 3_000, window, 0.7, 0.0);
+        }
+    }
+}
+
+#[test]
+fn pop_order_matches_heap_for_backdated_pushes_over_parked_blocks() {
+    // Backdated pushes land below the fine window while later blocks are
+    // populated, lowering the tier boundary and parking ring events back
+    // into their blocks.
+    for (i, window) in [300_000u64, 1_000_000].into_iter().enumerate() {
+        for seed in 0..4u64 {
+            drive_equivalence(0xBAC_2000 + 16 * i as u64 + seed, 3_000, window, 0.45, 0.2);
+        }
+    }
+}
+
+/// Same-slot storms of all five classes on the last slot of a block, its
+/// first slot and the one after, for every block boundary of a 1 M-slot
+/// span (15× the cap). A descending pass backdates each storm below the
+/// one before, so the tier boundary keeps dropping and parks ring events;
+/// an ascending pass then pushes storms straight into the coarse blocks,
+/// which reach the ring by migration.
+#[test]
+fn pop_order_matches_heap_for_storms_at_block_boundaries() {
+    // Each phase pops at a different point of the storm sequence.
+    for phase in 0..4usize {
+        let mut calendar: EventQueue<u64> = EventQueue::new();
+        let mut reference = HeapQueue::default();
+        let mut payload = 0u64;
+        let mut push = |cal: &mut EventQueue<u64>, rf: &mut HeapQueue, t: u64, p: u8| {
+            cal.push(t, p, payload);
+            rf.push(t, p, payload);
+            payload += 1;
+        };
+        let blocks = 1_000_000 / BLOCK;
+        let order: Vec<u64> = (1..=blocks).rev().chain(1..=blocks).collect();
+        for (round, &k) in order.iter().enumerate() {
+            let boundary = k * BLOCK;
+            for class in (0..PRIORITY_CLASSES as u8).rev() {
+                for t in [boundary - 1, boundary, boundary + 1] {
+                    push(&mut calendar, &mut reference, t, class);
+                    push(&mut calendar, &mut reference, t, class);
+                }
+            }
+            // Pop a few between storms so the cursor walks into the
+            // ring's last block and triggers migrations mid-stream.
+            if round % 4 == phase {
+                for _ in 0..20 {
+                    let a = calendar.pop();
+                    let b = reference.pop();
+                    assert_eq!(a, b, "phase={phase} boundary={boundary}: pop divergence");
+                }
+            }
+            assert_eq!(calendar.len(), reference.len(), "phase={phase}");
+        }
+        drain_both(&mut calendar, &mut reference, &format!("phase={phase}"));
+    }
+}
+
+/// Sparse epochs: a handful of events per refill, scattered over a
+/// 1 M-slot span, so the fine ring drains between pops and the cursor
+/// hops over runs of empty blocks; every cycle drains the queue, resetting
+/// the tier boundary.
+#[test]
+fn pop_order_matches_heap_for_hops_across_empty_blocks() {
+    for seed in 0..8u64 {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x4095_0000 + seed);
+        let mut calendar: EventQueue<u64> = EventQueue::new();
+        let mut reference = HeapQueue::default();
+        let mut payload = 0u64;
+        let mut epoch = 0u64;
+        for cycle in 0..40 {
+            for _ in 0..1 + rng.next_u64() % 12 {
+                let time = epoch + rng.next_u64() % 1_000_000;
+                let priority = (rng.next_u64() % PRIORITY_CLASSES as u64) as u8;
+                calendar.push(time, priority, payload);
+                reference.push(time, priority, payload);
+                payload += 1;
+                assert_eq!(calendar.peek_time(), reference.heap.peek().map(|r| r.0 .0));
+            }
+            // Interleave: pop one, push one ahead of the cursor, pop on.
+            let a = calendar.pop();
+            assert_eq!(a, reference.pop(), "seed={seed} cycle={cycle}");
+            let now = a.expect("queue was non-empty").0;
+            let time = now + rng.next_u64() % 700_000;
+            calendar.push(time, 4, payload);
+            reference.push(time, 4, payload);
+            payload += 1;
+            while reference.len() > 0 {
+                assert_eq!(calendar.peek_time(), reference.heap.peek().map(|r| r.0 .0));
+                assert_eq!(calendar.pop(), reference.pop(), "seed={seed} cycle={cycle}");
+            }
+            assert_eq!(calendar.pop(), None);
+            epoch = now + rng.next_u64() % 5_000_000;
+        }
+    }
+}
+
+/// The coarse block table grows while blocks are populated: each round
+/// pushes out to twice the previous span (2¹⁷ … 2²⁴ slots), past every
+/// earlier reservation, so non-empty blocks relocate under a wider index
+/// mask with their FIFO order intact.
+#[test]
+fn pop_order_matches_heap_across_coarse_tier_growth() {
+    for seed in 0..4u64 {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x7AB1_0000 + seed);
+        let mut calendar: EventQueue<u64> = EventQueue::new();
+        let mut reference = HeapQueue::default();
+        let mut payload = 0u64;
+        let mut now = 0u64;
+        for shift in 17..=24u32 {
+            let span = 1u64 << shift;
+            for _ in 0..200 {
+                // Half the pushes tie on a few far slots (FIFO chains in
+                // parked blocks), half scatter over the whole span.
+                let time = if rng.next_u64().is_multiple_of(2) {
+                    now + span - 1 - rng.next_u64() % 3 * BLOCK
+                } else {
+                    now + rng.next_u64() % span
+                };
+                let priority = (rng.next_u64() % PRIORITY_CLASSES as u64) as u8;
+                calendar.push(time, priority, payload);
+                reference.push(time, priority, payload);
+                payload += 1;
+            }
+            for _ in 0..50 {
+                let a = calendar.pop();
+                assert_eq!(a, reference.pop(), "seed={seed} span={span}");
+                now = a.expect("queue was non-empty").0;
+            }
+        }
+        drain_both(&mut calendar, &mut reference, &format!("seed={seed}"));
+    }
+}

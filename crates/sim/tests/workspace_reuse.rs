@@ -62,6 +62,30 @@ fn reused_workspace_matches_fresh_allocation_across_mixed_configs() {
 }
 
 #[test]
+fn reused_workspace_matches_fresh_allocation_across_the_event_ring_cap() {
+    // A 20 000-node channel's superframe spans ~665 k slots, ten times the
+    // event queue's fine ring (2¹⁶ slots), so its arrivals wait in the
+    // queue's coarse tier; the small channel fits the ring alone. Run
+    // interleaved on one workspace in both orders, every run must match a
+    // fresh workspace bit for bit.
+    let mut big = cfg(120, 20_000, 0.4, 0xB16);
+    big.superframes = 2;
+    let small = cfg(50, 30, 0.45, 0x5A11);
+    assert!(big.timings().superframe_slots > 10 * (1 << 16));
+    let fresh = [&big, &small].map(|c| collect(c, &mut SimWorkspace::new()));
+    for order in [[0, 1, 0], [1, 0, 1]] {
+        let mut shared = SimWorkspace::new();
+        for (step, &which) in order.iter().enumerate() {
+            let config = [&big, &small][which];
+            let (reused, reused_events) = collect(config, &mut shared);
+            let context = format!("order {order:?}, step {step}");
+            assert_traces_identical(&reused, &fresh[which].0, &context);
+            assert_eq!(reused_events, fresh[which].1, "{context}: event count");
+        }
+    }
+}
+
+#[test]
 fn identical_configs_give_identical_traces_through_one_workspace() {
     let config = cfg(50, 40, 0.5, 0xD06);
     let mut ws = SimWorkspace::new();
