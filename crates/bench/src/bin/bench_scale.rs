@@ -4,7 +4,7 @@
 //! One channel, one replication, node counts climbing a decade per point
 //! (10³ → 10⁶): the configuration where nothing amortizes the per-node
 //! cost — no channel parallelism, no replication parallelism — so the
-//! numbers isolate exactly what the SoA node state, the bitmap-skipped
+//! numbers isolate exactly what the per-node records, the bitmap-skipped
 //! calendar ring and the O(1) config views buy. Each point reports
 //! engine events per second (throughput — the number that must stay flat
 //! as N grows, or the hot path is super-linear) and the mean µW per node

@@ -637,9 +637,11 @@ impl BatchSet {
         if telem {
             crate::telemetry::note_farm_start(self.entries.len() as u64, skipped as u64);
         }
-        let events_at_start = telem
-            .then(|| crate::telemetry::snapshot().engine.events)
-            .unwrap_or(0);
+        let events_at_start = if telem {
+            crate::telemetry::snapshot().engine.events
+        } else {
+            0
+        };
         let batch_span = telem.then(|| {
             crate::telemetry::Span::enter(crate::telemetry::Phase::Batch)
         });
@@ -756,10 +758,10 @@ impl BatchSet {
         if telem {
             let c = sink.counters();
             crate::telemetry::note_sink_counters(
-                c.connect_retries as u64,
-                c.reconnects as u64,
-                c.spilled_lines as u64,
-                c.drained_lines as u64,
+                c.connect_retries,
+                c.reconnects,
+                c.spilled_lines,
+                c.drained_lines,
             );
         }
         // Close the batch span before the final snapshot so the timing

@@ -419,14 +419,33 @@ enum CsmaKind {
     DataRequest,
 }
 
-/// Hot per-node scalars of the contention engine — the fields nearly
-/// every event arm reads and writes, packed into one small struct so one
-/// event's bookkeeping touches one cache line of the node array instead
-/// of a whole aggregate `NodeState`.
-#[derive(Debug, Clone, Copy)]
+/// Everything the per-event path reads or writes about one node, in one
+/// 88-byte record: its RNG stream, its CSMA machine, and the counters,
+/// slot marks and flags of its current procedure. An arrival, CCA or
+/// transmission ending at 10⁶ nodes lands on a random node, so keeping
+/// these together costs one or two cache-line misses per event instead of
+/// one per parallel array.
+///
+/// The record is deliberately not padded to a cache line: a 64-byte
+/// alignment would save at most the occasional second line fetch, but it
+/// grows every record from 88 to 128 bytes, 40 MB more at 10⁶ nodes.
+///
+/// The measurements of an in-flight transmission live here too: an
+/// [`AttemptRecord`] or [`DownlinkRecord`] is rebuilt at TxEnd from
+/// `tx_start_slot − cont_start_slot` and `ccas`. Neither mark, `ccas` nor
+/// `recording` can change between a node's Transmit decision and its
+/// TxEnd, because the node stays active throughout.
+#[derive(Debug, Clone)]
 struct NodeHot {
+    /// The node's RNG stream (`root.split(i)`).
+    rng: Xoshiro256StarStar,
+    /// The in-flight CSMA machine, if any.
+    csma: Option<SlottedCsmaCa>,
     attempt: u32,
     superframes_waited: u32,
+    /// CCAs of the in-flight transmission's contention (captured at its
+    /// Transmit decision).
+    ccas: u32,
     cont_start_slot: u64,
     /// Start slot of this node's in-flight transmission (valid between
     /// its Transmit decision and its TxEnd) — the per-node half of the
@@ -440,16 +459,24 @@ struct NodeHot {
     kind: CsmaKind,
 }
 
-const NODE_HOT_INIT: NodeHot = NodeHot {
-    attempt: 0,
-    superframes_waited: 0,
-    cont_start_slot: 0,
-    tx_start_slot: 0,
-    carry_packet: false,
-    active: false,
-    recording: false,
-    kind: CsmaKind::Uplink,
-};
+impl NodeHot {
+    /// An idle node drawing from `rng`.
+    fn new(rng: Xoshiro256StarStar) -> Self {
+        NodeHot {
+            rng,
+            csma: None,
+            attempt: 0,
+            superframes_waited: 0,
+            ccas: 0,
+            cont_start_slot: 0,
+            tx_start_slot: 0,
+            carry_packet: false,
+            active: false,
+            recording: false,
+            kind: CsmaKind::Uplink,
+        }
+    }
+}
 
 /// Cold fault-plan per-node state, touched only at superframe boundaries
 /// (and only under an active fault plan) — segregated so fault-free runs
@@ -479,8 +506,8 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 };
 
 /// Reusable per-thread scratch of the contention engine: the calendar
-/// queue, the struct-of-arrays node state, the arrival offsets and the
-/// network layer's corruption-probability buffer.
+/// queue, the per-node records, the arrival offsets and the network
+/// layer's corruption-probability buffer.
 ///
 /// The queue's memory follows the pending events, not the superframe
 /// span: its fine ring is capped at 2¹⁶ slots (≈2.6 MB of buckets), and
@@ -489,12 +516,14 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 /// only its ~10⁶ pending arrivals. The superframe span is still validated
 /// against [`MAX_WINDOW`](crate::events::MAX_WINDOW), unchanged.
 ///
-/// Node state is deliberately struct-of-arrays — RNG streams, CSMA
-/// machines, hot scalars ([`NodeHot`]), the two pending-record slots and
-/// the cold fault group ([`NodeFault`]) live in parallel vectors — so the
-/// per-slot hot loop at 10⁵⁺ nodes loads only the arrays an event arm
-/// actually touches and stays L1/L2-resident instead of striding over a
-/// ~160-byte aggregate per node.
+/// Node state is one 88-byte record per node ([`NodeHot`]: RNG stream,
+/// CSMA machine, procedure counters, slot marks and flags), so an event
+/// on a random node of a 10⁶-node channel misses on one record instead of
+/// on one entry in each of several parallel arrays. Two kinds of node
+/// state stay apart from it: the cold fault group ([`NodeFault`]), touched
+/// only at superframe boundaries under an active fault plan, and the
+/// arrival and downlink-poll offset arrays, which the beacon walks in
+/// node order.
 ///
 /// A workspace is pure scratch — [`run_channel_sim_into_ws`] fully
 /// reinitializes every field from the configuration, so reusing one across
@@ -508,19 +537,8 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
     queue: EventQueue<Ev>,
-    /// Per-node RNG streams (`root.split(i)`).
-    rngs: Vec<Xoshiro256StarStar>,
-    /// Per-node in-flight CSMA machine, if any.
-    csma: Vec<Option<SlottedCsmaCa>>,
-    /// Per-node hot scalars (attempt counters, flags, slot marks).
-    hot: Vec<NodeHot>,
-    /// Attempt measured at transmission start, committed to the trace when
-    /// its outcome is known at TxEnd (so attempts cut off by the horizon
-    /// are never recorded with a fabricated outcome).
-    pending_attempts: Vec<Option<AttemptRecord>>,
-    /// Data-request contention measurements captured at transmission
-    /// start, finalized into a [`DownlinkRecord`] at TxEnd.
-    pending_dls: Vec<Option<(u64, u32)>>,
+    /// Per-node records (RNG stream, CSMA machine, counters, flags).
+    nodes: Vec<NodeHot>,
     /// Cold per-node fault state (alive/dormant/retry bookkeeping).
     fault: Vec<NodeFault>,
     offsets: Vec<u64>,
@@ -653,17 +671,9 @@ where
     let ack_timeout_us = timings.ack_timeout_us;
 
     let root = Xoshiro256StarStar::seed_from_u64(config.seed);
-    ws.rngs.clear();
-    ws.rngs
-        .extend((0..config.nodes).map(|i| root.split(i as u64)));
-    ws.csma.clear();
-    ws.csma.resize_with(config.nodes, || None);
-    ws.hot.clear();
-    ws.hot.resize(config.nodes, NODE_HOT_INIT);
-    ws.pending_attempts.clear();
-    ws.pending_attempts.resize(config.nodes, None);
-    ws.pending_dls.clear();
-    ws.pending_dls.resize(config.nodes, None);
+    ws.nodes.clear();
+    ws.nodes
+        .extend((0..config.nodes).map(|i| NodeHot::new(root.split(i as u64))));
     ws.fault.clear();
     ws.fault.resize(config.nodes, NODE_FAULT_INIT);
     let mut offsets_rng = root.split(u64::MAX);
@@ -737,11 +747,7 @@ where
 
     let SimWorkspace {
         queue,
-        rngs,
-        csma,
-        hot,
-        pending_attempts,
-        pending_dls,
+        nodes,
         fault,
         offsets,
         dl_offsets,
@@ -835,7 +841,7 @@ where
                             if !dies || !f.alive {
                                 continue;
                             }
-                            if hot[i].active {
+                            if nodes[i].active {
                                 // Mid-procedure: the death defers to the
                                 // procedure's natural end so no queued
                                 // event is ever cancelled.
@@ -868,7 +874,7 @@ where
                                 sink.on_fault(&FaultRecord {
                                     node: i as u32,
                                     kind: FaultKind::MissedBeacon {
-                                        listened: !hot[i].active,
+                                        listened: !nodes[i].active,
                                     },
                                 });
                             }
@@ -907,8 +913,8 @@ where
                             f.alive = true;
                             let latency_superframes = f.down_superframes;
                             f.join_retries = 0;
-                            hot[i].carry_packet = false;
-                            hot[i].superframes_waited = 0;
+                            nodes[i].carry_packet = false;
+                            nodes[i].superframes_waited = 0;
                             if !in_warmup {
                                 sink.on_fault(&FaultRecord {
                                     node: i as u32,
@@ -992,7 +998,7 @@ where
                         // the stream shape is load-independent).
                         for (i, &off) in dl_offsets.iter().enumerate() {
                             let fire = dl_rng.bernoulli(plan.downlink_rate);
-                            if fire && !(faults_active && !fault[i].alive) {
+                            if fire && (!faults_active || fault[i].alive) {
                                 queue.push(slot + off, PRIO_ARRIVAL, Ev::DlPoll { node: i as u32 });
                             }
                         }
@@ -1003,7 +1009,7 @@ where
                     // still mid-procedure carry theirs across the outage
                     // (the skipped arrival counts as an overrun, exactly
                     // as a busy node's arrival would).
-                    for (i, h) in hot.iter().enumerate() {
+                    for (i, h) in nodes.iter().enumerate() {
                         if h.active {
                             sink.on_overrun();
                         } else {
@@ -1029,7 +1035,7 @@ where
                     // resolved since: the node is gone.
                     continue;
                 }
-                let h = &mut hot[node as usize];
+                let h = &mut nodes[node as usize];
                 if h.active {
                     if !in_warmup {
                         sink.on_overrun();
@@ -1046,18 +1052,19 @@ where
                 h.recording = !in_warmup;
                 h.attempt = 1;
                 h.cont_start_slot = slot;
-                let machine = SlottedCsmaCa::start(config.csma, &mut rngs[node as usize]);
+                let machine = SlottedCsmaCa::start(config.csma, &mut h.rng);
                 let CsmaAction::BackoffThenCca { periods } = machine.current_action() else {
                     unreachable!("CSMA always begins with a backoff");
                 };
-                csma[node as usize] = Some(machine);
+                h.csma = Some(machine);
                 queue.push(slot + periods as u64, PRIO_CCA, Ev::Cca { node });
             }
             Ev::Cca { node } => {
                 let i = node as usize;
                 let busy = slot_us < busy_until_us;
-                let machine = csma[i].as_mut().expect("CCA without active CSMA");
-                match machine.on_cca(busy, &mut rngs[i]) {
+                let h = &mut nodes[i];
+                let machine = h.csma.as_mut().expect("CCA without active CSMA");
+                match machine.on_cca(busy, &mut h.rng) {
                     CsmaAction::CcaAgain => {
                         queue.push(slot + 1, PRIO_CCA, Ev::Cca { node });
                     }
@@ -1065,32 +1072,18 @@ where
                         queue.push(slot + 1 + periods as u64, PRIO_CCA, Ev::Cca { node });
                     }
                     CsmaAction::Transmit => {
-                        let machine = csma[i].take().expect("machine present");
-                        let h = &mut hot[i];
+                        let machine = h.csma.take().expect("machine present");
                         let start_slot = slot + 1;
                         let airtime_us = match h.kind {
                             CsmaKind::Uplink => packet_us,
                             CsmaKind::DataRequest => timings.data_request_us,
                         };
                         let end_us = start_slot * SLOT_US + airtime_us;
-                        match h.kind {
-                            CsmaKind::Uplink => {
-                                if h.recording {
-                                    pending_attempts[i] = Some(AttemptRecord {
-                                        node,
-                                        contention_slots: start_slot - h.cont_start_slot,
-                                        ccas: machine.ccas_performed(),
-                                        outcome: AttemptOutcome::Delivered, // finalized at TxEnd
-                                    });
-                                }
-                            }
-                            CsmaKind::DataRequest => {
-                                pending_dls[i] = Some((
-                                    start_slot - h.cont_start_slot,
-                                    machine.ccas_performed(),
-                                ));
-                            }
-                        }
+                        // The attempt's record is rebuilt from these at
+                        // TxEnd, once its outcome is known (so attempts cut
+                        // off by the horizon are never recorded with a
+                        // fabricated outcome).
+                        h.ccas = machine.ccas_performed();
                         // Same-slot starters collide with each other:
                         // joining the current cohort (or opening a new
                         // one) is the whole collision bookkeeping.
@@ -1107,7 +1100,7 @@ where
                         }
                         h.tx_start_slot = start_slot;
                         debug_assert!(
-                            pending_air.map_or(true, |(s, _)| s == start_slot),
+                            pending_air.is_none_or(|(s, _)| s == start_slot),
                             "at most one undecided cohort can be pending"
                         );
                         // A cohort mixing packet and data-request airtimes
@@ -1127,8 +1120,7 @@ where
                         );
                     }
                     CsmaAction::Failure => {
-                        let machine = csma[i].take().expect("machine present");
-                        let h = &mut hot[i];
+                        let machine = h.csma.take().expect("machine present");
                         match h.kind {
                             CsmaKind::Uplink => {
                                 if h.recording {
@@ -1183,11 +1175,13 @@ where
                 // The transmission itself kept the channel busy.
                 busy_until_us = busy_until_us.max(end_us);
                 let i = node as usize;
+                let h = &mut nodes[i];
                 debug_assert_eq!(
-                    hot[i].tx_start_slot, cohort_slot,
+                    h.tx_start_slot, cohort_slot,
                     "TxEnd must belong to the current cohort"
                 );
-                if hot[i].kind == CsmaKind::DataRequest {
+                let contention_slots = h.tx_start_slot - h.cont_start_slot;
+                if h.kind == CsmaKind::DataRequest {
                     // A data request's ending: the coordinator answers a
                     // clean request with an acknowledgement and (promptly)
                     // the downlink frame, both of which occupy the CAP
@@ -1211,18 +1205,16 @@ where
                         }
                     }
                     busy_until_us = busy_until_us.max(end_us + hold_us);
-                    if let Some((contention_slots, ccas)) = pending_dls[i].take() {
-                        if hot[i].recording {
-                            sink.on_downlink(&DownlinkRecord {
-                                node,
-                                contention_slots,
-                                ccas,
-                                outcome,
-                            });
-                        }
+                    if h.recording {
+                        sink.on_downlink(&DownlinkRecord {
+                            node,
+                            contention_slots,
+                            ccas: h.ccas,
+                            outcome,
+                        });
                     }
-                    hot[i].active = false;
-                    hot[i].kind = CsmaKind::Uplink;
+                    h.active = false;
+                    h.kind = CsmaKind::Uplink;
                     resolve_pending_death(
                         &mut fault[i],
                         node,
@@ -1240,8 +1232,7 @@ where
                     AttemptOutcome::Delivered
                 };
 
-                if let Some(mut pending) = pending_attempts[i].take() {
-                    pending.outcome = outcome;
+                if h.recording {
                     if let Some(t) = telem.as_deref_mut() {
                         match outcome {
                             AttemptOutcome::Delivered => t.attempts_delivered += 1,
@@ -1249,13 +1240,17 @@ where
                             AttemptOutcome::Corrupted => t.attempts_corrupted += 1,
                             AttemptOutcome::AccessFailure => t.attempts_access_failure += 1,
                         }
-                        t.ccas_per_attempt.record(pending.ccas as u64);
-                        t.contention_slots.record(pending.contention_slots as u64);
+                        t.ccas_per_attempt.record(h.ccas as u64);
+                        t.contention_slots.record(contention_slots);
                     }
-                    sink.on_attempt(&pending);
+                    sink.on_attempt(&AttemptRecord {
+                        node,
+                        contention_slots,
+                        ccas: h.ccas,
+                        outcome,
+                    });
                 }
 
-                let h = &mut hot[i];
                 if outcome == AttemptOutcome::Delivered {
                     // The acknowledgement occupies the channel too.
                     busy_until_us = busy_until_us.max(end_us + ack_hold_us);
@@ -1287,11 +1282,11 @@ where
                     h.attempt += 1;
                     let retry_slot = (end_us + ack_timeout_us).div_ceil(SLOT_US);
                     h.cont_start_slot = retry_slot;
-                    let machine = SlottedCsmaCa::start(config.csma, &mut rngs[i]);
+                    let machine = SlottedCsmaCa::start(config.csma, &mut h.rng);
                     let CsmaAction::BackoffThenCca { periods } = machine.current_action() else {
                         unreachable!("CSMA always begins with a backoff");
                     };
-                    csma[i] = Some(machine);
+                    h.csma = Some(machine);
                     queue.push(retry_slot + periods as u64, PRIO_CCA, Ev::Cca { node });
                 } else {
                     if h.recording {
@@ -1332,7 +1327,7 @@ where
                     // after this slot was scheduled.
                     continue;
                 }
-                let h = &mut hot[i];
+                let h = &mut nodes[i];
                 if h.carry_packet {
                     h.superframes_waited += 1;
                 } else {
@@ -1359,7 +1354,7 @@ where
                     // scheduled; the frame stays pending upstream.
                     continue;
                 }
-                let h = &mut hot[i];
+                let h = &mut nodes[i];
                 if h.active {
                     if !in_warmup {
                         sink.on_downlink(&DownlinkRecord {
@@ -1375,11 +1370,11 @@ where
                 h.kind = CsmaKind::DataRequest;
                 h.recording = !in_warmup;
                 h.cont_start_slot = slot;
-                let machine = SlottedCsmaCa::start(config.csma, &mut rngs[i]);
+                let machine = SlottedCsmaCa::start(config.csma, &mut h.rng);
                 let CsmaAction::BackoffThenCca { periods } = machine.current_action() else {
                     unreachable!("CSMA always begins with a backoff");
                 };
-                csma[i] = Some(machine);
+                h.csma = Some(machine);
                 queue.push(slot + periods as u64, PRIO_CCA, Ev::Cca { node });
             }
         }

@@ -10,17 +10,21 @@
 //! * **Fine ring.** Time is hashed into a power-of-two ring of slots
 //!   (`time & mask`); each ring slot holds [`PRIORITY_CLASSES`]
 //!   singly-linked FIFO buckets (slot-major, so one pop scans adjacent
-//!   cells). Events live in a free-listed arena, so steady-state push/pop
-//!   churn allocates nothing. The ring grows (doubling) with the span of
-//!   pending times, but never past a private cap of 2¹⁶ slots.
+//!   cells). Ring events live in a free-listed arena, so steady-state
+//!   push/pop churn allocates nothing; the arena holds only ring events,
+//!   so it is sized by the fine ring's population, not by every pending
+//!   event. The ring grows (doubling) with the span of pending times, but
+//!   never past a private cap of 2¹⁶ slots.
 //! * **Coarse tier.** Once the pending span outgrows the cap, a
 //!   block-aligned boundary `hi` splits the queue: times below `hi` live in
 //!   the fine ring, later ones wait in per-block FIFO vectors, each block
-//!   half a ring wide. When the cursor enters the fine ring's last block,
-//!   the next block moves into the ring; when the ring drains, the cursor
-//!   hops to the next non-empty block. Memory is therefore O(cap + pending
-//!   events), not O(window): a 10⁶-node superframe spans ~3·10⁷ slots but
-//!   holds only ~10⁶ events.
+//!   half a ring wide. A parked event carries its payload inline, so
+//!   parking touches no arena entry. When the cursor enters the fine ring's
+//!   last block, the next block moves into the ring, taking its arena
+//!   entries from the free list (recently vacated, so cache-warm); when the
+//!   ring drains, the cursor hops to the next non-empty block. Memory is
+//!   therefore O(cap + pending events), not O(window): a 10⁶-node
+//!   superframe spans ~3·10⁷ slots but holds only ~10⁶ events.
 //! * **Window invariant.** Every fine event lies in `[cursor, hi)` and
 //!   `hi − cursor` never exceeds the ring, so a ring cell never holds two
 //!   distinct times and the pop cursor can assign the time from its own
@@ -155,20 +159,19 @@ const EMPTY_BUCKET: Bucket = Bucket {
 
 #[derive(Debug, Clone)]
 struct Entry<E> {
-    /// `Some` while queued; `None` on the free list.
+    /// `Some` while queued in the ring; `None` on the free list.
     payload: Option<E>,
-    /// Next entry in the same bucket, or next free slot (unused while the
-    /// entry waits in the coarse tier).
+    /// Next entry in the same bucket, or next free slot.
     next: u32,
 }
 
-/// An arena entry waiting in the coarse tier, with the keys its ring
-/// bucket is chosen by.
-#[derive(Debug, Clone, Copy)]
-struct Parked {
+/// An event waiting in the coarse tier: its payload, with the keys its
+/// ring bucket is chosen by.
+#[derive(Debug, Clone)]
+struct Parked<E> {
     time: u64,
-    idx: u32,
     class: u8,
+    event: E,
 }
 
 /// Deterministic calendar queue over an arbitrary event payload `E`.
@@ -193,9 +196,9 @@ struct Parked {
 pub struct EventQueue<E> {
     /// `ring_slots × PRIORITY_CLASSES` bucket cells, slot-major.
     buckets: Vec<Bucket>,
-    /// Entry arena for both tiers; vacated entries chain through `free`
-    /// and are reused by the next push, so storage is bounded by the peak
-    /// queue length.
+    /// Entry arena of the fine ring; vacated entries chain through `free`
+    /// and are reused by the next link, so storage is bounded by the peak
+    /// ring population (parked events carry their payload in `blocks`).
     arena: Vec<Entry<E>>,
     /// Head of the arena free list.
     free: u32,
@@ -221,7 +224,7 @@ pub struct EventQueue<E> {
     /// `b & (blocks.len() − 1)`. The length is a power of two covering
     /// every block from `hi` to `max_pending`; the vectors keep their
     /// capacity across `clear`.
-    blocks: Vec<Vec<Parked>>,
+    blocks: Vec<Vec<Parked<E>>>,
     /// Events in `blocks`.
     parked: usize,
     /// Operation counters; `None` (the default) costs one never-taken
@@ -464,7 +467,7 @@ impl<E> EventQueue<E> {
             return;
         }
         let len = needed.next_power_of_two();
-        let mut blocks: Vec<Vec<Parked>> = std::iter::repeat_with(Vec::new).take(len).collect();
+        let mut blocks: Vec<Vec<Parked<E>>> = std::iter::repeat_with(Vec::new).take(len).collect();
         for block in self.blocks.drain(..).filter(|b| !b.is_empty()) {
             let b = (block[0].time >> BLOCK_BITS) as usize & (len - 1);
             blocks[b] = block;
@@ -501,7 +504,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Moves every event of ring time `t` to the back of its coarse block,
-    /// class by class, keeping each bucket's FIFO order.
+    /// class by class, keeping each bucket's FIFO order; the payloads leave
+    /// the arena and their entries go back on the free list.
     fn park_slot(&mut self, t: u64) {
         let slot = (t & self.mask) as usize;
         if !self.slot_occupied(slot) {
@@ -512,13 +516,14 @@ impl<E> EventQueue<E> {
             let cell = slot * PRIORITY_CLASSES + class;
             let mut idx = self.buckets[cell].head;
             while idx != NIL {
+                let (next, event) = self.release(idx);
                 self.blocks[b].push(Parked {
                     time: t,
-                    idx,
                     class: class as u8,
+                    event,
                 });
                 self.parked += 1;
-                idx = self.arena[idx as usize].next;
+                idx = next;
             }
             self.buckets[cell] = EMPTY_BUCKET;
         }
@@ -532,16 +537,53 @@ impl<E> EventQueue<E> {
         let b = self.block_of(self.hi);
         let mut block = std::mem::take(&mut self.blocks[b]);
         self.parked -= block.len();
-        for Parked { time, idx, class } in block.drain(..) {
+        for Parked { time, class, event } in block.drain(..) {
             debug_assert!(
                 time >> BLOCK_BITS == self.hi >> BLOCK_BITS,
                 "coarse block holds a foreign time"
             );
-            self.arena[idx as usize].next = NIL;
+            let idx = self.alloc(event);
             self.link(time, class, idx);
         }
         self.blocks[b] = block;
         self.hi += BLOCK;
+    }
+
+    /// Stores `event` in an arena entry (with `next == NIL`), reusing the
+    /// most recently vacated one when the free list has any.
+    fn alloc(&mut self, event: E) -> u32 {
+        if self.free != NIL {
+            let idx = self.free;
+            let entry = &mut self.arena[idx as usize];
+            self.free = entry.next;
+            entry.payload = Some(event);
+            entry.next = NIL;
+            idx
+        } else {
+            assert!(
+                self.arena.len() < NIL as usize,
+                "event arena exhausted (u32 index space)"
+            );
+            self.arena.push(Entry {
+                payload: Some(event),
+                next: NIL,
+            });
+            (self.arena.len() - 1) as u32
+        }
+    }
+
+    /// Takes the payload out of queued entry `idx` and puts the entry on
+    /// the free list; returns the entry's old bucket successor with it.
+    fn release(&mut self, idx: u32) -> (u32, E) {
+        let entry = &mut self.arena[idx as usize];
+        let next = entry.next;
+        let event = entry
+            .payload
+            .take()
+            .expect("queued entry has a payload — queue invariant broken");
+        entry.next = self.free;
+        self.free = idx;
+        (next, event)
     }
 
     /// Start time of the first non-empty block at or past `hi`. Only call
@@ -601,34 +643,16 @@ impl<E> EventQueue<E> {
             self.max_pending = top;
         }
 
-        let idx = if self.free != NIL {
-            let idx = self.free;
-            let entry = &mut self.arena[idx as usize];
-            self.free = entry.next;
-            entry.payload = Some(event);
-            entry.next = NIL;
-            idx
-        } else {
-            assert!(
-                self.arena.len() < NIL as usize,
-                "event arena exhausted (u32 index space)"
-            );
-            self.arena.push(Entry {
-                payload: Some(event),
-                next: NIL,
-            });
-            (self.arena.len() - 1) as u32
-        };
-
         if time >= self.hi && self.hi != u64::MAX {
             let b = self.block_of(time);
             self.blocks[b].push(Parked {
                 time,
-                idx,
                 class: priority,
+                event,
             });
             self.parked += 1;
         } else {
+            let idx = self.alloc(event);
             self.link(time, priority, idx);
         }
         self.len += 1;
@@ -684,14 +708,7 @@ impl<E> EventQueue<E> {
             if head == NIL {
                 continue;
             }
-            let entry = &mut self.arena[head as usize];
-            let next = entry.next;
-            let event = entry
-                .payload
-                .take()
-                .expect("queued entry has a payload — queue invariant broken");
-            entry.next = self.free;
-            self.free = head;
+            let (next, event) = self.release(head);
             self.buckets[base + p].head = next;
             if next == NIL {
                 self.buckets[base + p].tail = NIL;
@@ -949,6 +966,70 @@ mod tests {
             assert!(parked_capacity(&q) <= 4, "{} parked", parked_capacity(&q));
             assert_eq!(q.pop(), Some((pinned, 0)));
         }
+    }
+
+    #[test]
+    fn arena_holds_only_ring_events() {
+        // A 10⁶-node superframe's shape: a beacon at slot 0, then 10⁶
+        // arrivals spread over ≈3·10⁷ slots. Parked arrivals carry their
+        // payload, so the arena holds only the events below `hi`.
+        const SPAN: u64 = 30_000_000;
+        let mut q = EventQueue::new();
+        q.push(0, 0, 0u32);
+        let mut times = vec![0u64];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 1..1_000_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let t = x % SPAN;
+            q.push(t, 3, i);
+            times.push(t);
+        }
+        assert_ne!(q.hi, u64::MAX, "the span must reach the coarse tier");
+        let below_hi = times.iter().filter(|&&t| t < q.hi).count();
+        assert!(
+            q.arena.len() <= below_hi,
+            "arena holds {} entries for {below_hi} ring events",
+            q.arena.len()
+        );
+        // Draining keeps the arena at the ring's peak population: ring
+        // events span at most two adjacent blocks.
+        let mut per_block = vec![0usize; (SPAN / BLOCK + 1) as usize];
+        for &t in &times {
+            per_block[(t / BLOCK) as usize] += 1;
+        }
+        let two_blocks = per_block.windows(2).map(|w| w[0] + w[1]).max().unwrap();
+        let mut last = 0;
+        while let Some((t, _)) = q.pop() {
+            assert!(t >= last, "pop order regressed");
+            last = t;
+        }
+        assert!(
+            q.arena.len() <= two_blocks,
+            "arena grew to {} entries; the ring never holds more than {two_blocks}",
+            q.arena.len()
+        );
+    }
+
+    #[test]
+    fn parking_frees_arena_entries() {
+        // 1 000 ring events, then a push below them all: the tier boundary
+        // drops under every one, so `park_slot` moves each payload out of
+        // the arena. Draining moves them back through the free list
+        // without growing the arena.
+        let mut q = EventQueue::new();
+        for i in 0..1_000u64 {
+            q.push(100_000 + 60 * i, (i % 5) as u8, i);
+        }
+        assert_eq!(q.arena.len(), 1_000);
+        q.push(0, 0, u64::MAX);
+        assert_eq!(q.parked, 1_000, "every ring event must be parked");
+        assert_eq!(q.pop(), Some((0, u64::MAX)));
+        for i in 0..1_000u64 {
+            assert_eq!(q.pop(), Some((100_000 + 60 * i, i)));
+        }
+        assert!(q.arena.len() <= 1_001, "arena grew to {}", q.arena.len());
     }
 
     #[test]

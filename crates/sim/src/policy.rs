@@ -335,8 +335,8 @@ impl ProportionalFair {
         }
 
         // Clamp, then repair the sum deterministically.
-        for c in 0..obs.channels {
-            targets[c] = targets[c].clamp(1, obs.capacity[c].max(1));
+        for (target, &cap) in targets.iter_mut().zip(obs.capacity) {
+            *target = (*target).clamp(1, cap.max(1));
         }
         loop {
             let sum: usize = targets.iter().sum();

@@ -665,7 +665,7 @@ impl Scenario {
                 shadowing_db,
             } => {
                 assert!(
-                    !radii_m.is_empty() && n % radii_m.len() == 0,
+                    !radii_m.is_empty() && n.is_multiple_of(radii_m.len()),
                     "total node count {} must divide over {} rings",
                     n,
                     radii_m.len()
@@ -735,7 +735,7 @@ impl Scenario {
             let offset = self.channel_loss_offset(c);
             if offset.db() != 0.0 {
                 for loss in losses.iter_mut() {
-                    *loss = *loss + offset;
+                    *loss += offset;
                 }
             }
         }
@@ -906,7 +906,7 @@ impl Scenario {
             ));
         }
         let demand_nonzero =
-            t.gts_slots_per_node > 0 && t.gts_demand.map_or(true, |d| d > 0);
+            t.gts_slots_per_node > 0 && t.gts_demand.is_none_or(|d| d > 0);
         if demand_nonzero && t.gts_slots_per_node > 15 {
             return Err(format!(
                 "a GTS allocation must span 1..=15 slots, got {}",
@@ -938,7 +938,7 @@ impl Scenario {
             ));
         }
         if let DeploymentSpec::Rings { radii_m, .. } = &self.deployment {
-            if radii_m.is_empty() || self.total_nodes() % radii_m.len() != 0 {
+            if radii_m.is_empty() || !self.total_nodes().is_multiple_of(radii_m.len()) {
                 return Err(format!(
                     "total node count {} must divide over {} rings",
                     self.total_nodes(),

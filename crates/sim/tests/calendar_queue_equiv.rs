@@ -71,7 +71,7 @@ fn drive_equivalence(seed: u64, ops: usize, window: u64, pop_bias: f64, backdate
         } else {
             // Cluster times to force same-slot ties (FIFO coverage) while
             // still exercising the whole window.
-            let spread = if rng.next_u64() % 4 == 0 {
+            let spread = if rng.next_u64().is_multiple_of(4) {
                 rng.next_u64() % window
             } else {
                 rng.next_u64() % 4
@@ -174,7 +174,7 @@ fn pop_order_matches_heap_for_cfp_class_storms() {
                 let time = now + rng.next_u64() % 3;
                 // Half the pushes land in the CFP class, the rest spread
                 // over the CAP classes — maximal cross-class tie density.
-                let priority = if rng.next_u64() % 2 == 0 {
+                let priority = if rng.next_u64().is_multiple_of(2) {
                     (PRIORITY_CLASSES - 1) as u8
                 } else {
                     (rng.next_u64() % (PRIORITY_CLASSES as u64 - 1)) as u8
@@ -444,5 +444,176 @@ fn pop_order_matches_heap_across_coarse_tier_growth() {
             }
         }
         drain_both(&mut calendar, &mut reference, &format!("seed={seed}"));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Payload ownership. Parked events carry their payload inline while ring
+// events live in the arena, so a payload moves between the two on every
+// park and migration. A non-`Copy` payload that logs its own drop pins
+// that each one comes out exactly once: from `pop`, in reference-heap
+// order, or from `clear`.
+// ---------------------------------------------------------------------
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// A payload that counts its drops in a log shared with the test.
+#[derive(Debug)]
+struct Tracked {
+    id: u64,
+    drops: Rc<RefCell<Vec<u32>>>,
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        self.drops.borrow_mut()[self.id as usize] += 1;
+    }
+}
+
+/// A calendar queue of [`Tracked`] payloads and the reference heap over
+/// their ids, driven in lockstep.
+struct Owned {
+    calendar: EventQueue<Tracked>,
+    reference: HeapQueue,
+    drops: Rc<RefCell<Vec<u32>>>,
+}
+
+impl Owned {
+    fn new() -> Self {
+        Owned {
+            calendar: EventQueue::new(),
+            reference: HeapQueue::default(),
+            drops: Rc::default(),
+        }
+    }
+
+    fn push(&mut self, time: u64, priority: u8) {
+        let id = {
+            let mut drops = self.drops.borrow_mut();
+            drops.push(0);
+            drops.len() as u64 - 1
+        };
+        let payload = Tracked {
+            id,
+            drops: Rc::clone(&self.drops),
+        };
+        self.calendar.push(time, priority, payload);
+        self.reference.push(time, priority, id);
+    }
+
+    /// Pops both queues, checks they agree and that the popped payload
+    /// was not dropped inside the queue; returns the popped time.
+    fn pop(&mut self, context: &str) -> Option<u64> {
+        let a = self.calendar.pop().map(|(t, p)| {
+            assert_eq!(
+                self.drops.borrow()[p.id as usize],
+                0,
+                "{context}: early drop"
+            );
+            (t, p.id)
+        });
+        assert_eq!(a, self.reference.pop(), "{context}: pop divergence");
+        a.map(|(t, _)| t)
+    }
+
+    /// Clears the calendar while events are pending: exactly the
+    /// reference's pending ids must be dropped by the clear, and every
+    /// payload ever pushed must then have been dropped exactly once.
+    fn clear(&mut self, context: &str) {
+        assert!(
+            self.reference.len() > 0,
+            "{context}: clear of an empty queue"
+        );
+        let before = self.drops.borrow().clone();
+        self.calendar.clear();
+        let after = self.drops.borrow().clone();
+        let mut pending: Vec<u64> = std::iter::from_fn(|| self.reference.pop())
+            .map(|(_, id)| id)
+            .collect();
+        pending.sort_unstable();
+        let cleared: Vec<u64> = (0..after.len() as u64)
+            .filter(|&id| after[id as usize] != before[id as usize])
+            .collect();
+        assert_eq!(
+            cleared, pending,
+            "{context}: clear dropped the wrong payloads"
+        );
+        assert!(
+            after.iter().all(|&n| n == 1),
+            "{context}: a payload was dropped {} times",
+            after.iter().copied().find(|&n| n != 1).unwrap_or(1)
+        );
+        assert!(self.calendar.is_empty());
+    }
+}
+
+#[test]
+fn payloads_are_owned_exactly_once_through_both_tiers() {
+    let mut q = Owned::new();
+    // Parking: one early burst, then a sparse tail far past the 2¹⁶-slot
+    // cap, straight into the coarse blocks.
+    for t in 0..40u64 {
+        q.push(t, (t % PRIORITY_CLASSES as u64) as u8);
+    }
+    for k in 0..60u64 {
+        q.push(400_000 + 9_973 * k, (k % PRIORITY_CLASSES as u64) as u8);
+    }
+    // Drained-ring hop: popping the burst empties the ring while the tail
+    // is parked, so the next pop jumps to the first non-empty block.
+    for _ in 0..40 {
+        q.pop("burst");
+    }
+    let now = q.pop("hop").expect("tail pending");
+    assert!(now >= 400_000);
+    // Block migration: popping walks the cursor through the ring's last
+    // block, pulling the next block in each time.
+    for _ in 0..10 {
+        q.pop("migration");
+    }
+    let now = q.pop("migration").expect("tail pending");
+    // Backdated push: storms near the ring's top, then a push more than
+    // one block below the cursor, which lowers the tier boundary and
+    // parks every ring event at or past it.
+    for class in 0..PRIORITY_CLASSES as u8 {
+        for t in [now + 1, now + BLOCK, now + BLOCK + 7] {
+            q.push(t, class);
+            q.push(t, class);
+        }
+    }
+    q.push(now - BLOCK - 1_000, 2);
+    q.push(now - BLOCK - 1_000, 0);
+    for _ in 0..30 {
+        q.pop("after backdate");
+    }
+    // Clear with events still parked, then reuse the cleared queue.
+    q.clear("scripted");
+    for t in [700_000u64, 5, 300_000, 5] {
+        q.push(t, 1);
+    }
+    q.pop("reuse");
+    q.clear("reuse");
+}
+
+#[test]
+fn payloads_are_owned_exactly_once_under_randomized_spans_past_the_cap() {
+    for seed in 0..6u64 {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x0D60_0000 + seed);
+        let mut q = Owned::new();
+        let mut now = 0u64;
+        for op in 0..2_000 {
+            let context = format!("seed={seed} op={op}");
+            if q.reference.len() > 0 && rng.next_f64() < 0.45 {
+                now = q.pop(&context).expect("non-empty");
+            } else {
+                let time = if q.reference.len() > 0 && rng.next_f64() < 0.1 {
+                    now.saturating_sub(rng.next_u64() % 200_000)
+                } else {
+                    now + rng.next_u64() % 1_000_000
+                };
+                q.push(time, (rng.next_u64() % PRIORITY_CLASSES as u64) as u8);
+            }
+        }
+        q.clear(&format!("seed={seed}"));
     }
 }

@@ -6,7 +6,9 @@
 
 use wsn_phy::ber::EmpiricalCc2420Ber;
 use wsn_radio::RadioModel;
+use wsn_sim::cfp::DownlinkOutcome;
 use wsn_sim::contention::{run_channel_sim_into_ws, SimTrace};
+use wsn_sim::faults::{FaultKind, FaultPlan};
 use wsn_sim::network::{NetworkConfig, TxPowerPolicy};
 use wsn_sim::policy::{GreedyRebalance, PolicyEngine};
 use wsn_sim::scenario::{DeploymentSpec, Scenario};
@@ -22,9 +24,17 @@ fn cfg(payload: usize, nodes: usize, load: f64, seed: u64) -> ChannelSimConfig {
 }
 
 fn collect(config: &ChannelSimConfig, ws: &mut SimWorkspace) -> (SimTrace, u64) {
+    collect_with(config, ws, |_| false)
+}
+
+fn collect_with(
+    config: &ChannelSimConfig,
+    ws: &mut SimWorkspace,
+    corrupt: impl FnMut(u32) -> bool,
+) -> (SimTrace, u64) {
     let timings = config.timings();
     let mut collector = TraceCollector::new(timings.superframe_slots);
-    let events = run_channel_sim_into_ws(config, &timings, |_| false, &mut collector, ws);
+    let events = run_channel_sim_into_ws(config, &timings, corrupt, &mut collector, ws);
     (collector.into_trace(), events)
 }
 
@@ -33,6 +43,7 @@ fn assert_traces_identical(a: &SimTrace, b: &SimTrace, context: &str) {
     assert_eq!(a.transactions, b.transactions, "{context}: transactions");
     assert_eq!(a.gts, b.gts, "{context}: gts");
     assert_eq!(a.downlinks, b.downlinks, "{context}: downlinks");
+    assert_eq!(a.faults, b.faults, "{context}: faults");
     assert_eq!(a.overruns, b.overruns, "{context}: overruns");
     assert_eq!(a.superframe_slots, b.superframe_slots, "{context}: slots");
 }
@@ -78,6 +89,53 @@ fn reused_workspace_matches_fresh_allocation_across_the_event_ring_cap() {
         for (step, &which) in order.iter().enumerate() {
             let config = [&big, &small][which];
             let (reused, reused_events) = collect(config, &mut shared);
+            let context = format!("order {order:?}, step {step}");
+            assert_traces_identical(&reused, &fresh[which].0, &context);
+            assert_eq!(reused_events, fresh[which].1, "{context}: event count");
+        }
+    }
+}
+
+#[test]
+fn reused_workspace_matches_fresh_allocation_for_cfp_and_churn_across_the_cap() {
+    // The cap-crossing channel again, now with GTS holders, downlink
+    // polling and churn: GTS transmissions and downlink polls wait in the
+    // queue's coarse tier next to the arrivals, downlink records are
+    // rebuilt from the node record at each data request's ending, and
+    // deaths, rejoins and dormancy run at every beacon. A deterministic
+    // per-node oracle corrupts some frames, so the retry, corrupted-
+    // downlink and failed-rejoin paths run too. Interleaved with a small
+    // CAP-only channel on one workspace, in both orders, every run must
+    // match a fresh workspace bit for bit.
+    let mut big = cfg(120, 20_000, 0.4, 0xCF0);
+    big.superframes = 3;
+    big.cfp = wsn_sim::plan_channel_cfp(20_000, 7, 1, 8, 0.3);
+    big.faults = FaultPlan::inert().with_churn(0.02, 0, 2);
+    let small = cfg(50, 30, 0.45, 0x5A12);
+    assert!(big.timings().superframe_slots > 10 * (1 << 16));
+    let corrupt = |node: u32| node % 11 == 3;
+    let fresh = [&big, &small].map(|c| collect_with(c, &mut SimWorkspace::new(), corrupt));
+    let (trace, _) = &fresh[0];
+    assert!(!trace.gts.is_empty(), "GTS holders must transmit");
+    assert!(
+        trace
+            .downlinks
+            .iter()
+            .any(|d| d.outcome != DownlinkOutcome::Deferred),
+        "downlink polls must contend"
+    );
+    assert!(
+        trace
+            .faults
+            .iter()
+            .any(|f| matches!(f.kind, FaultKind::Reassociated { .. })),
+        "churned nodes must rejoin"
+    );
+    for order in [[0, 1, 0], [1, 0, 1]] {
+        let mut shared = SimWorkspace::new();
+        for (step, &which) in order.iter().enumerate() {
+            let config = [&big, &small][which];
+            let (reused, reused_events) = collect_with(config, &mut shared, corrupt);
             let context = format!("order {order:?}, step {step}");
             assert_traces_identical(&reused, &fresh[which].0, &context);
             assert_eq!(reused_events, fresh[which].1, "{context}: event count");
