@@ -12,12 +12,6 @@
 //! interval stretches with N, so per-node power falls ~1/N — the ladder
 //! pins that trend, not a constant).
 //!
-//! The ladder also *proves* the spatial-shard contract where it matters:
-//! at the largest point at or below 10⁵ nodes, the sharded run
-//! (`run_accumulate_sharded`, 4 shards) is compared field-for-field —
-//! f64s by bit pattern — against the serial run, and the binary aborts on
-//! any mismatch.
-//!
 //! The 10⁶-node point is attempted only when the estimated footprint
 //! (calendar ring + per-node state) fits comfortably in the host's
 //! available memory; a skipped point is recorded in the JSON rather than
@@ -32,7 +26,7 @@ use std::time::Instant;
 use wsn_bench::{elapsed_ms, Json, RunArgs, BENCH_SCALE_PATH};
 use wsn_phy::ber::EmpiricalCc2420Ber;
 use wsn_radio::RadioModel;
-use wsn_sim::network::{NetworkConfig, NetworkSimulator, NetworkSummary, TxPowerPolicy};
+use wsn_sim::network::{NetworkConfig, NetworkSimulator, TxPowerPolicy};
 use wsn_sim::ChannelSimConfig;
 use wsn_units::{DBm, Db, Seconds};
 
@@ -63,16 +57,27 @@ fn scale_config(nodes: usize, superframes: u32) -> NetworkConfig {
     }
 }
 
-/// Rough resident-set estimate for one ladder point: the calendar ring
-/// (the dominant allocation at 10⁶ nodes — `ring × 5 classes × 8 B`
-/// buckets plus the occupancy bitmap) and ~600 B of per-node state (RNG,
-/// CSMA machine, hot struct, ledger, losses/levels/probs).
+/// The event queue's fine-ring cap in slots: a longer superframe parks
+/// its later events in the queue's coarse tier instead of growing the
+/// ring.
+const QUEUE_RING_CAP: u64 = 1 << 16;
+
+/// Measured resident bytes per node at 10⁶ nodes (engine record, fault
+/// state, queued events, ledger, losses/levels/probs): the repository
+/// benchmark's `dense_1m` workload, the same single-channel shape,
+/// reports `network.bytes_per_node` ≈ 407 and peaks at ≈405 MiB.
+const BYTES_PER_NODE: u64 = 420;
+
+/// Rough resident-set estimate for one ladder point: the calendar ring,
+/// capped at [`QUEUE_RING_CAP`] slots (`ring × 5 classes × 8 B` buckets
+/// plus the occupancy bitmap), and [`BYTES_PER_NODE`] of per-node state —
+/// ≈0.39 GiB at 10⁶ nodes.
 fn estimated_bytes(cfg: &NetworkConfig) -> u64 {
     let sf_slots = cfg.channel.timings().superframe_slots;
-    let ring = (sf_slots + 301).next_power_of_two();
+    let ring = (sf_slots + 301).next_power_of_two().min(QUEUE_RING_CAP);
     let buckets = ring * 5 * 8;
     let bitmap = ring * 5 / 8 + ring / 8;
-    buckets + bitmap + cfg.channel.nodes as u64 * 600
+    buckets + bitmap + cfg.channel.nodes as u64 * BYTES_PER_NODE
 }
 
 /// `MemAvailable` from `/proc/meminfo`, if readable.
@@ -81,21 +86,6 @@ fn available_memory_bytes() -> Option<u64> {
     let line = meminfo.lines().find(|l| l.starts_with("MemAvailable:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-/// Field-for-field equality of two summaries, f64s compared by bit
-/// pattern — the shard contract is *bit*-identity, not tolerance.
-fn summaries_bit_identical(a: &NetworkSummary, b: &NetworkSummary) -> bool {
-    a.mean_node_power == b.mean_node_power
-        && a.node_powers == b.node_powers
-        && a.failure_ratio == b.failure_ratio
-        && a.transactions == b.transactions
-        && a.mean_delay == b.mean_delay
-        && a.mean_attempts.to_bits() == b.mean_attempts.to_bits()
-        && a.energy_per_bit_nj.to_bits() == b.energy_per_bit_nj.to_bits()
-        && a.cap_power == b.cap_power
-        && a.cfp_power == b.cfp_power
-        && a.ledger.total_energy() == b.ledger.total_energy()
 }
 
 fn main() {
@@ -116,7 +106,6 @@ fn main() {
 
     let mut points: Vec<Json> = Vec::new();
     let mut skipped: Vec<Json> = Vec::new();
-    let mut ran: Vec<usize> = Vec::new();
     for &nodes in ladder.iter().filter(|&&n| n <= max_nodes) {
         let cfg = scale_config(nodes, args.superframes);
         let estimate = estimated_bytes(&cfg);
@@ -165,39 +154,8 @@ fn main() {
             ("pr_fail", Json::Num(summary.failure_ratio.value())),
             ("transactions", Json::Int(summary.transactions as i64)),
         ]));
-        ran.push(nodes);
     }
-    assert!(!ran.is_empty(), "every ladder point was skipped");
-
-    // --- sharded-vs-unsharded bit-identity --------------------------------
-    // Verified at the largest executed point at or below 10⁵ nodes (the
-    // acceptance bar; re-running the 10⁶ point would double the ladder's
-    // peak footprint).
-    let identity_nodes = ran
-        .iter()
-        .copied()
-        .filter(|&n| n <= 100_000)
-        .max()
-        .expect("ladder always starts at 10³");
-    const SHARDS: usize = 4;
-    let sim = NetworkSimulator::new(scale_config(identity_nodes, args.superframes));
-    let mut serial = sim.run_accumulate(&ber);
-    serial.seal_replication();
-    let mut sharded = sim.run_accumulate_sharded(&ber, SHARDS);
-    sharded.seal_replication();
-    let identical = summaries_bit_identical(&serial.summary(), &sharded.summary());
-    println!(
-        "shard identity  : {identity_nodes} nodes, {SHARDS} shards vs serial ⇒ {}",
-        if identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-    assert!(
-        identical,
-        "sharded run diverged from serial at {identity_nodes} nodes"
-    );
+    assert!(!points.is_empty(), "every ladder point was skipped");
 
     if args.json {
         let doc = Json::Obj(vec![
@@ -216,14 +174,6 @@ fn main() {
             ("payload_bytes", Json::Int(PAYLOAD_BYTES as i64)),
             ("points", Json::Arr(points)),
             ("skipped", Json::Arr(skipped)),
-            (
-                "sharded_identity",
-                Json::Obj(vec![
-                    ("nodes", Json::Int(identity_nodes as i64)),
-                    ("shards", Json::Int(SHARDS as i64)),
-                    ("identical", Json::Bool(identical)),
-                ]),
-            ),
         ]);
         std::fs::write(BENCH_SCALE_PATH, doc.render()).expect("write benchmark JSON");
         eprintln!("wrote {BENCH_SCALE_PATH}");

@@ -214,8 +214,8 @@ pub const BENCH_FAULTS_PATH: &str = "BENCH_faults.json";
 
 /// Canonical output path of the scale ladder emitted by
 /// `bench_scale --json`: one point per decade of single-channel node
-/// count (10³ → 10⁶), carrying events/s and µW per node, plus the
-/// sharded-vs-unsharded bit-identity verdict.
+/// count (10³ → 10⁶), carrying events/s and µW per node, plus any
+/// points skipped for memory.
 pub const BENCH_SCALE_PATH: &str = "BENCH_scale.json";
 
 /// Canonical output path of the batch-service benchmark emitted by

@@ -18,7 +18,6 @@ use wsn_units::Db;
 /// A point in the deployment plane, in meters, with the base station at the
 /// origin.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Position {
     /// East coordinate.
     pub x: f64,
@@ -35,7 +34,6 @@ impl Position {
 
 /// A set of node positions around a central base station.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Deployment {
     positions: Vec<Position>,
     radius: Meters,

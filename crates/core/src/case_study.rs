@@ -9,6 +9,8 @@
 //! uniform 55–95 dB path-loss population with per-node energy-optimal
 //! transmit power (link adaptation).
 
+use std::sync::Arc;
+
 use wsn_channel::UniformPathLossPopulation;
 use wsn_mac::BeaconOrder;
 use wsn_phy::ber::BerModel;
@@ -25,6 +27,10 @@ use wsn_units::{Db, Power, Probability, Seconds};
 use crate::activation::{ActivationModel, ModelInputs, ModelOutput};
 use crate::contention::ContentionModel;
 use crate::link_adaptation::LinkAdaptation;
+
+/// One distinct `(path losses, load)` pair and the per-node transmit levels
+/// link adaptation picked for it.
+type AdaptedLevels = (Arc<[Db]>, f64, Arc<[TxPowerLevel]>);
 
 /// The dense-network scenario.
 #[derive(Debug, Clone)]
@@ -178,11 +184,7 @@ impl CaseStudy {
         // The paper scenario compiles identical loss populations and loads
         // for every channel, so the (expensive) per-node adaptation is
         // computed once per distinct (losses, load) pair and reused.
-        let mut adapted: Vec<(
-            std::sync::Arc<[wsn_units::Db]>,
-            f64,
-            std::sync::Arc<[wsn_radio::TxPowerLevel]>,
-        )> = Vec::new();
+        let mut adapted: Vec<AdaptedLevels> = Vec::new();
         for cfg in &mut configs {
             let levels = match adapted
                 .iter()
@@ -190,7 +192,7 @@ impl CaseStudy {
             {
                 Some((_, _, levels)) => levels.clone(),
                 None => {
-                    let levels: std::sync::Arc<[wsn_radio::TxPowerLevel]> = cfg
+                    let levels: Arc<[TxPowerLevel]> = cfg
                         .path_losses
                         .iter()
                         .map(|&a| {

@@ -43,7 +43,6 @@ impl From<SuperframeError> for BeaconParseError {
 
 /// The 16-bit superframe specification carried by every beacon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SuperframeSpec {
     /// Beacon order (bits 0–3).
     pub beacon_order: u8,
@@ -111,7 +110,6 @@ impl SuperframeSpec {
 
 /// A GTS descriptor: a device's reserved slot range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GtsDescriptor {
     /// Short address of the device owning the slots.
     pub short_address: u16,
@@ -136,7 +134,6 @@ pub struct GtsDescriptor {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BeaconPayload {
     /// Superframe specification.
     pub superframe: SuperframeSpec,

@@ -65,7 +65,6 @@ impl std::error::Error for SuperframeError {}
 /// # Ok::<(), wsn_mac::superframe::SuperframeError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BeaconOrder(u8);
 
 impl BeaconOrder {
@@ -111,7 +110,6 @@ impl fmt::Display for BeaconOrder {
 /// Superframe order `SO ∈ 0..=14`: the active portion spans
 /// `15.36 ms × 2^SO`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SuperframeOrder(u8);
 
 impl SuperframeOrder {
@@ -164,7 +162,6 @@ impl fmt::Display for SuperframeOrder {
 /// # Ok::<(), wsn_mac::superframe::SuperframeError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SuperframeConfig {
     bo: BeaconOrder,
     so: SuperframeOrder,

@@ -7,7 +7,6 @@ use crate::state::{RadioState, TxPowerLevel};
 
 /// Cost of switching between two radio states.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Transition {
     /// Settling time before the target state is usable.
     pub time: Seconds,
@@ -47,7 +46,6 @@ impl Transition {
 /// Construct with [`RadioModel::cc2420`] for the paper's measured values, or
 /// through [`RadioModel::builder`] for what-if variants.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RadioModel {
     vdd: Voltage,
     shutdown_power: Power,

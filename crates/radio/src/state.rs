@@ -22,7 +22,6 @@ use wsn_units::{Current, DBm};
 /// assert_eq!(lvl, TxPowerLevel::Neg10);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TxPowerLevel {
     /// −25 dBm output, 8.42 mA.
     Neg25,
@@ -113,7 +112,6 @@ impl fmt::Display for TxPowerLevel {
 /// Transmit carries its power level so that the energy ledger can bill the
 /// correct supply current.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RadioState {
     /// Crystal off; only leakage. Wake-up requires ~1 ms.
     Shutdown,
@@ -157,7 +155,6 @@ impl fmt::Display for RadioState {
 /// Radio state with the transmit power level erased — the four rows of the
 /// paper's Figure 9b time breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StateKind {
     /// Shutdown state.
     Shutdown,

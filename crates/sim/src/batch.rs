@@ -17,10 +17,9 @@
 //!   [`ScenarioOutcome::reduce`] in fixed order, so every per-scenario
 //!   summary is **bit-identical** to running that scenario alone — for
 //!   any thread count and any file ordering (results are keyed by
-//!   scenario, not by position). Scenarios carrying a
-//!   [`PolicyChoice`](crate::persist::PolicyChoice) are closed-loop and
-//!   sequential by nature; they run after the grid, one
-//!   [`PolicyEngine`] each, on the same runner.
+//!   scenario, not by position). Scenarios carrying a [`PolicyChoice`]
+//!   are closed-loop and sequential by nature; they run after the grid,
+//!   one [`PolicyEngine`] each, on the same runner.
 //! * **Deterministic seeds.** By default every scenario runs with the
 //!   master seed saved in its file. A manifest may instead set a batch
 //!   seed: each scenario then runs with
@@ -339,7 +338,6 @@ struct PlainPrep {
     configs: Vec<NetworkConfig>,
     bers: Vec<ResolvedBer>,
     replications: u32,
-    shards: usize,
 }
 
 /// One job's result on the shared grid: the accumulator and its wall
@@ -825,7 +823,6 @@ impl BatchSet {
                         configs,
                         bers,
                         replications: scenario.replications.max(1),
-                        shards: scenario.shards.max(1),
                     }
                 }))
                 .map_err(panic_message)
@@ -842,12 +839,7 @@ impl BatchSet {
             let t = Instant::now();
             let mut cfg = prep.configs[c].clone();
             cfg.channel.seed = replication_seed(cfg.channel.seed, r);
-            let sim = NetworkSimulator::new(cfg);
-            let acc = if prep.shards > 1 {
-                sim.run_accumulate_sharded(&prep.bers[c], prep.shards)
-            } else {
-                sim.run_accumulate(&prep.bers[c])
-            };
+            let acc = NetworkSimulator::new(cfg).run_accumulate(&prep.bers[c]);
             (acc, t.elapsed().as_secs_f64() * 1e3)
         };
 

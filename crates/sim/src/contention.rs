@@ -516,11 +516,11 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 /// only its ~10⁶ pending arrivals. The superframe span is still validated
 /// against [`MAX_WINDOW`](crate::events::MAX_WINDOW), unchanged.
 ///
-/// Node state is one 88-byte record per node ([`NodeHot`]: RNG stream,
+/// Node state is one 88-byte record per node (`NodeHot`: RNG stream,
 /// CSMA machine, procedure counters, slot marks and flags), so an event
 /// on a random node of a 10⁶-node channel misses on one record instead of
 /// on one entry in each of several parallel arrays. Two kinds of node
-/// state stay apart from it: the cold fault group ([`NodeFault`]), touched
+/// state stay apart from it: the cold fault group (`NodeFault`), touched
 /// only at superframe boundaries under an active fault plan, and the
 /// arrival and downlink-poll offset arrays, which the beacon walks in
 /// node order.

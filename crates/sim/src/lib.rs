@@ -105,18 +105,6 @@
 //! every parallel reduction — contention sweeps, network replications,
 //! whole scenarios, closed policy loops — is bit-identical to the serial
 //! path for every thread count.
-//!
-//! The same contract extends **within** a single huge channel:
-//! [`NetworkSimulator::run_accumulate_sharded`] splits the per-node
-//! energy accounting of one channel across spatial shards (contiguous
-//! node-index ranges — spatial cells, since deployments lay indices out
-//! by geometry). The contention physics stays on one thread (CCA couples
-//! every node), each shard accrues only its own nodes' ledgers — a
-//! per-node f64 sequence that is identical on any thread — and the shard
-//! results are concatenated in **fixed shard order** before the single
-//! serial finishing fold. Fixed shard order ⇒ the fold consumes the
-//! node-ordered ledger list the serial path produces ⇒ bit-identity for
-//! every shard count, exactly like the runner's thread-count contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -108,8 +108,8 @@ pub struct NetworkConfig {
     /// derive them from the BER model on entry; `Some` skips that
     /// derivation — the policy loop caches the full-population BER math
     /// once per drift value and remaps it per round. Values must equal
-    /// what [`corruption_probability`] computes bit-for-bit, or traces
-    /// diverge from the uncached path.
+    /// what the private `corruption_probability` computes bit-for-bit, or
+    /// traces diverge from the uncached path.
     pub corrupt_probs: Option<Arc<[f64]>>,
 }
 
@@ -597,258 +597,22 @@ impl NetworkSimulator {
         acc.summary()
     }
 
-    /// [`run_accumulate`](Self::run_accumulate) with the per-node energy
-    /// accounting sharded across `shards` worker threads —
-    /// **bit-identical to the unsharded run for every shard count**.
-    ///
-    /// The contention physics cannot be partitioned (every CCA senses
-    /// every other node's transmission), so the event engine runs
-    /// unchanged on the calling thread. What *is* exactly partitionable
-    /// is the per-node energy accounting: each worker owns one contiguous
-    /// node-index range — a spatial cell, since deployments lay node
-    /// indices out by geometry (rings, disc radius, clusters) — and
-    /// accrues that range's [`EnergyLedger`]s from the record stream the
-    /// engine relays in order. Per-node accrual is a fixed f64 sequence
-    /// per node regardless of which thread runs it, and the final fold
-    /// ([`finish_ledgers`]) walks the concatenated ledgers in node order
-    /// on one thread, so the result is bit-identical by construction —
-    /// the same contract the thread-count determinism suite pins for the
-    /// runner.
-    ///
-    /// `shards` is clamped to `[1, nodes]`; `shards <= 1` falls back to
-    /// the serial path. Only the accounting scales with the worker count;
-    /// the engine stays on one core and dominates. Measured at 10⁶ nodes
-    /// (perfbench `dense_1m`, 2-CPU Xeon host, three traced runs),
-    /// accounting is 35–63 of 194–249 ns/event (≈18–32 % of the serial
-    /// run), and 2 shards run 0.92–1.12× as fast as 1.
+    /// Forwards to [`run_accumulate`](Self::run_accumulate); `_shards` is
+    /// ignored. Kept only for the repository benchmark's
+    /// `network.shard2_speedup` layer metric and removed together with it
+    /// in the next benchmark change.
+    #[doc(hidden)]
     pub fn run_accumulate_sharded<B: BerModel>(
         &self,
         ber: &B,
-        shards: usize,
+        _shards: usize,
     ) -> NetworkAccumulator {
-        let nodes = self.config.channel.nodes;
-        let shards = shards.clamp(1, nodes.max(1));
-        if shards <= 1 {
-            return self.run_accumulate(ber);
-        }
-        let levels = self.config.tx_policy.resolve(&self.config.path_losses);
-        let consts = AccountingConsts::new(&self.config);
-        let radio = &self.config.radio;
-        // Balanced contiguous ranges: shard `s` owns `bounds[s]..bounds[s+1]`.
-        let bounds: Vec<usize> = (0..=shards).map(|s| s * nodes / shards).collect();
-
-        let mut senders = Vec::with_capacity(shards);
-        let mut receivers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<ShardMsg>>(4);
-            senders.push(tx);
-            receivers.push(rx);
-        }
-
-        let (ledgers, stats, missed_beacons, join_failures) = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shards);
-            for (s, rx) in receivers.into_iter().enumerate() {
-                let lo = bounds[s];
-                let hi = bounds[s + 1];
-                let levels = &levels[lo..hi];
-                let consts = &consts;
-                handles.push(scope.spawn(move || {
-                    let mut ledgers = vec![EnergyLedger::new(); hi - lo];
-                    while let Ok(batch) = rx.recv() {
-                        for msg in &batch {
-                            let i = msg.node() as usize - lo;
-                            let ledger = &mut ledgers[i];
-                            match msg {
-                                ShardMsg::Attempt(a) => {
-                                    ledger_on_attempt(ledger, radio, levels[i], consts, a);
-                                }
-                                ShardMsg::Transaction(_) => {
-                                    ledger_on_transaction(ledger, radio);
-                                }
-                                ShardMsg::Gts(r) => {
-                                    ledger_on_gts(ledger, radio, levels[i], consts, r);
-                                }
-                                ShardMsg::Downlink(r) => {
-                                    ledger_on_downlink(ledger, radio, levels[i], consts, r);
-                                }
-                                ShardMsg::Fault(r) => {
-                                    ledger_on_fault(ledger, radio, levels[i], consts, r);
-                                }
-                            }
-                        }
-                    }
-                    ledgers
-                }));
-            }
-
-            // The engine runs unchanged on the calling thread; the sink
-            // keeps the cross-node statistics here and relays the
-            // ledger-relevant records to their owning shards in batches.
-            let mut sink = ShardingSink::new(nodes, &bounds, senders);
-            self.drive(ber, &levels, &mut sink);
-            let (stats, missed_beacons, join_failures) = sink.finish();
-
-            // Fixed shard order: concatenating the joined ranges rebuilds
-            // the node-ordered ledger list the serial path produces.
-            let mut ledgers = Vec::with_capacity(nodes);
-            for handle in handles {
-                ledgers.extend(handle.join().expect("shard worker panicked"));
-            }
-            (ledgers, stats, missed_beacons, join_failures)
-        });
-
-        finish_ledgers(&self.config, ledgers, &missed_beacons, stats, join_failures)
-    }
-}
-
-/// One ledger-relevant record relayed from the engine thread to the shard
-/// worker that owns its node.
-#[derive(Debug, Clone, Copy)]
-enum ShardMsg {
-    Attempt(AttemptRecord),
-    Transaction(u32),
-    Gts(GtsRecord),
-    Downlink(DownlinkRecord),
-    Fault(FaultRecord),
-}
-
-impl ShardMsg {
-    fn node(&self) -> u32 {
-        match self {
-            ShardMsg::Attempt(a) => a.node,
-            ShardMsg::Transaction(node) => *node,
-            ShardMsg::Gts(r) => r.node,
-            ShardMsg::Downlink(r) => r.node,
-            ShardMsg::Fault(r) => r.node,
-        }
-    }
-}
-
-/// Batch size of the engine→shard relay. Large enough to amortize the
-/// channel synchronization, small enough to keep workers busy during the
-/// run rather than after it.
-const SHARD_BATCH: usize = 1024;
-
-/// The engine-thread half of [`NetworkSimulator::run_accumulate_sharded`]:
-/// folds the cross-node statistics exactly like the serial
-/// [`EnergyAccountant`] and relays per-node ledger work to the shard
-/// workers, batched and in record order (each node's accrual sequence is
-/// preserved because a node lives in exactly one shard).
-struct ShardingSink {
-    stats: StatsSink,
-    missed_beacons: Vec<u32>,
-    join_failures: Counter,
-    /// node index → owning shard, precomputed from the range bounds.
-    shard_of: Vec<u32>,
-    senders: Vec<std::sync::mpsc::SyncSender<Vec<ShardMsg>>>,
-    batches: Vec<Vec<ShardMsg>>,
-}
-
-impl ShardingSink {
-    fn new(
-        nodes: usize,
-        bounds: &[usize],
-        senders: Vec<std::sync::mpsc::SyncSender<Vec<ShardMsg>>>,
-    ) -> Self {
-        let shards = senders.len();
-        let mut shard_of = vec![0u32; nodes];
-        for s in 0..shards {
-            for owner in shard_of.iter_mut().take(bounds[s + 1]).skip(bounds[s]) {
-                *owner = s as u32;
-            }
-        }
-        ShardingSink {
-            stats: StatsSink::new(),
-            missed_beacons: vec![0; nodes],
-            join_failures: Counter::default(),
-            shard_of,
-            senders,
-            batches: (0..shards)
-                .map(|_| Vec::with_capacity(SHARD_BATCH))
-                .collect(),
-        }
-    }
-
-    fn relay(&mut self, msg: ShardMsg) {
-        let s = self.shard_of[msg.node() as usize] as usize;
-        self.batches[s].push(msg);
-        if self.batches[s].len() == SHARD_BATCH {
-            self.flush(s);
-        }
-    }
-
-    fn flush(&mut self, s: usize) {
-        if self.batches[s].is_empty() {
-            return;
-        }
-        let batch = std::mem::replace(&mut self.batches[s], Vec::with_capacity(SHARD_BATCH));
-        self.senders[s]
-            .send(batch)
-            .expect("shard worker hung up before the engine finished");
-    }
-
-    /// Flushes the remaining batches, closes the relay (workers drain and
-    /// exit) and returns the engine-thread folds.
-    fn finish(mut self) -> (StatsSink, Vec<u32>, Counter) {
-        for s in 0..self.senders.len() {
-            self.flush(s);
-        }
-        drop(self.senders);
-        (self.stats, self.missed_beacons, self.join_failures)
-    }
-}
-
-impl TraceSink for ShardingSink {
-    fn on_attempt(&mut self, a: &AttemptRecord) {
-        self.stats.on_attempt(a);
-        self.relay(ShardMsg::Attempt(*a));
-    }
-
-    fn on_transaction(&mut self, t: &TransactionRecord) {
-        self.stats.on_transaction(t);
-        self.relay(ShardMsg::Transaction(t.node));
-    }
-
-    fn on_overrun(&mut self) {
-        self.stats.on_overrun();
-    }
-
-    fn on_gts(&mut self, r: &GtsRecord) {
-        self.stats.on_gts(r);
-        self.relay(ShardMsg::Gts(*r));
-    }
-
-    fn on_downlink(&mut self, r: &DownlinkRecord) {
-        self.stats.on_downlink(r);
-        if r.outcome != DownlinkOutcome::Deferred {
-            // Deferred polls carry no ledger cost; skip the relay.
-            self.relay(ShardMsg::Downlink(*r));
-        }
-    }
-
-    fn on_fault(&mut self, r: &FaultRecord) {
-        self.stats.on_fault(r);
-        match r.kind {
-            FaultKind::MissedBeacon { listened } => {
-                self.missed_beacons[r.node as usize] += 1;
-                if listened {
-                    self.relay(ShardMsg::Fault(*r));
-                }
-            }
-            FaultKind::JoinAttempt { success } => {
-                self.join_failures.observe(!success);
-                self.relay(ShardMsg::Fault(*r));
-            }
-            // No ledger cost: deaths, rejoin confirmations, dormancy.
-            FaultKind::Death | FaultKind::Reassociated { .. } | FaultKind::Dormant => {}
-        }
+        self.run_accumulate(ber)
     }
 }
 
 /// Per-configuration timing constants hoisted off the per-record accrual
-/// path — shared by the serial [`EnergyAccountant`] and the shard workers
-/// of [`NetworkSimulator::run_accumulate_sharded`], so cached and sharded
-/// accounting run the exact same arithmetic.
+/// path of the [`EnergyAccountant`].
 #[derive(Debug, Clone, Copy)]
 struct AccountingConsts {
     packet_airtime: Seconds,
@@ -884,11 +648,8 @@ impl AccountingConsts {
     }
 }
 
-// Ledger-side accrual, one free function per record kind. These are the
-// single source of truth for how a record becomes joules: the serial
-// `EnergyAccountant` calls them inline and the spatial-shard workers call
-// them on their node ranges, so a sharded run accrues the exact same f64
-// sequence per node as the unsharded one (bit-identity by construction).
+// Ledger-side accrual, one function per record kind: the single source of
+// truth for how a record becomes joules on one node's ledger.
 
 fn ledger_on_attempt(
     ledger: &mut EnergyLedger,
@@ -1081,8 +842,7 @@ fn ledger_on_downlink(
 
 /// Ledger-side cost of a fault record. The scalar bookkeeping
 /// (missed-beacon counts, join-failure counter, fault statistics) is the
-/// caller's job — this accrues only the radio energy, which is exactly
-/// the part that per-node shards can own.
+/// caller's job — this accrues only the radio energy.
 fn ledger_on_fault(
     ledger: &mut EnergyLedger,
     radio: &RadioModel,
@@ -1202,122 +962,108 @@ impl<'a> EnergyAccountant<'a> {
     /// Adds the fixed beacon overhead and the sleep remainder, then folds
     /// everything into an (unsealed) mergeable accumulator.
     fn finish(self) -> NetworkAccumulator {
-        finish_ledgers(
-            self.cfg,
-            self.ledgers,
-            &self.missed_beacons,
-            self.stats,
-            self.join_failures,
-        )
-    }
-}
+        let EnergyAccountant {
+            cfg,
+            mut ledgers,
+            stats,
+            missed_beacons,
+            join_failures,
+            consts,
+            ..
+        } = self;
+        let radio = &cfg.radio;
+        let n_nodes = cfg.channel.nodes;
+        let recorded_superframes = cfg.channel.superframes as f64 - 1.0;
+        let t_ib = cfg.channel.beacon_interval();
+        let window = t_ib * recorded_superframes;
 
-/// The shared tail of every accounting run — serial or sharded: adds the
-/// fixed beacon overhead and the sleep remainder to each node's ledger,
-/// then folds everything into an (unsealed) mergeable accumulator. Runs
-/// on one thread over the full (concatenated, node-ordered) ledger list,
-/// so its fold order never depends on the shard count.
-fn finish_ledgers(
-    cfg: &NetworkConfig,
-    mut ledgers: Vec<EnergyLedger>,
-    missed_beacons: &[u32],
-    stats: StatsSink,
-    join_failures: Counter,
-) -> NetworkAccumulator {
-    let radio = &cfg.radio;
-    let n_nodes = cfg.channel.nodes;
-    let recorded_superframes = cfg.channel.superframes as f64 - 1.0;
-    let t_ib = cfg.channel.beacon_interval();
-    let window = t_ib * recorded_superframes;
-    let t_beacon = beacon_duration();
-
-    let mut acc = NetworkAccumulator::new();
-    acc.node_powers.reserve(n_nodes);
-    // Fixed per-superframe beacon overhead — preemptive wake-up (the
-    // shutdown→idle transition plus any margin spent in idle),
-    // receiver turn-on, beacon reception — is identical for every
-    // node, so the per-superframe accrual loop runs **once** into a
-    // prototype ledger that every node then merges: `finish` is
-    // O(nodes + superframes) instead of O(nodes × superframes). The
-    // beacon-phase cells of every per-node ledger start at zero, so
-    // the merged values are the very sums the per-node loop produced.
-    //
-    // Nodes that missed beacons (outages, churn deaths) receive fewer
-    // cycles; one ledger per distinct received count is cached so the
-    // skipped cycles still come from the same repeated-addition loop —
-    // and a fault-free run, where every node receives every beacon,
-    // merges the single full prototype bit-identically.
-    let margin = (cfg.wakeup_margin - radio.wakeup_time()).max(Seconds::ZERO);
-    let beacon_cycles = |cycles: usize| {
-        let mut l = EnergyLedger::new();
-        for _ in 0..cycles {
-            l.accrue_transition(
-                radio,
-                RadioState::Shutdown,
-                RadioState::Idle,
-                PhaseTag::Beacon,
-            );
-            l.accrue(radio, RadioState::Idle, PhaseTag::Beacon, margin);
-            l.accrue_transition(radio, RadioState::Idle, RadioState::Rx, PhaseTag::Beacon);
-            l.accrue(radio, RadioState::Rx, PhaseTag::Beacon, t_beacon);
+        let mut acc = NetworkAccumulator::new();
+        acc.node_powers.reserve(n_nodes);
+        // Fixed per-superframe beacon overhead — preemptive wake-up (the
+        // shutdown→idle transition plus any margin spent in idle),
+        // receiver turn-on, beacon reception — is identical for every
+        // node, so the per-superframe accrual loop runs **once** into a
+        // prototype ledger that every node then merges: `finish` is
+        // O(nodes + superframes) instead of O(nodes × superframes). The
+        // beacon-phase cells of every per-node ledger start at zero, so
+        // the merged values are the very sums the per-node loop produced.
+        //
+        // Nodes that missed beacons (outages, churn deaths) receive fewer
+        // cycles; one ledger per distinct received count is cached so the
+        // skipped cycles still come from the same repeated-addition loop —
+        // and a fault-free run, where every node receives every beacon,
+        // merges the single full prototype bit-identically.
+        let beacon_cycles = |cycles: usize| {
+            let mut l = EnergyLedger::new();
+            for _ in 0..cycles {
+                l.accrue_transition(
+                    radio,
+                    RadioState::Shutdown,
+                    RadioState::Idle,
+                    PhaseTag::Beacon,
+                );
+                l.accrue(radio, RadioState::Idle, PhaseTag::Beacon, consts.margin);
+                l.accrue_transition(radio, RadioState::Idle, RadioState::Rx, PhaseTag::Beacon);
+                l.accrue(radio, RadioState::Rx, PhaseTag::Beacon, consts.t_beacon);
+            }
+            l
+        };
+        let recorded = cfg.channel.superframes.saturating_sub(1);
+        let beacon_ledger = beacon_cycles(recorded as usize);
+        let mut partial: HashMap<u32, EnergyLedger> = HashMap::new();
+        for (i, ledger) in ledgers.iter_mut().enumerate() {
+            let missed = missed_beacons[i];
+            if missed == 0 {
+                ledger.merge(&beacon_ledger);
+            } else {
+                let received = recorded.saturating_sub(missed);
+                let l = partial
+                    .entry(received)
+                    .or_insert_with(|| beacon_cycles(received as usize));
+                ledger.merge(l);
+            }
+            // Sleep is the remainder of the window.
+            let active = ledger.total_time();
+            let sleep = (window - active).max(Seconds::ZERO);
+            ledger.accrue(radio, RadioState::Shutdown, PhaseTag::Sleep, sleep);
+            let power = ledger.average_power(window);
+            acc.node_power_uw.push(power.microwatts());
+            acc.node_powers.push(power);
+            // CAP vs CFP split: what this node spent contending and
+            // uplinking in the CAP versus its contention-free traffic.
+            let cap_energy = ledger.energy_in_phase(PhaseTag::Contention)
+                + ledger.energy_in_phase(PhaseTag::Transmit)
+                + ledger.energy_in_phase(PhaseTag::AckWait)
+                + ledger.energy_in_phase(PhaseTag::Ifs);
+            let cfp_energy =
+                ledger.energy_in_phase(PhaseTag::Gts) + ledger.energy_in_phase(PhaseTag::Downlink);
+            acc.cap_uw.push((cap_energy / window).microwatts());
+            acc.cfp_uw.push((cfp_energy / window).microwatts());
+            acc.ledger.merge(ledger);
         }
-        l
-    };
-    let recorded = cfg.channel.superframes.saturating_sub(1);
-    let beacon_ledger = beacon_cycles(recorded as usize);
-    let mut partial: HashMap<u32, EnergyLedger> = HashMap::new();
-    for (i, ledger) in ledgers.iter_mut().enumerate() {
-        let missed = missed_beacons[i];
-        if missed == 0 {
-            ledger.merge(&beacon_ledger);
-        } else {
-            let received = recorded.saturating_sub(missed);
-            let l = partial
-                .entry(received)
-                .or_insert_with(|| beacon_cycles(received as usize));
-            ledger.merge(l);
-        }
-        // Sleep is the remainder of the window.
-        let active = ledger.total_time();
-        let sleep = (window - active).max(Seconds::ZERO);
-        ledger.accrue(radio, RadioState::Shutdown, PhaseTag::Sleep, sleep);
-        let power = ledger.average_power(window);
-        acc.node_power_uw.push(power.microwatts());
-        acc.node_powers.push(power);
-        // CAP vs CFP split: what this node spent contending and
-        // uplinking in the CAP versus its contention-free traffic.
-        let cap_energy = ledger.energy_in_phase(PhaseTag::Contention)
-            + ledger.energy_in_phase(PhaseTag::Transmit)
-            + ledger.energy_in_phase(PhaseTag::AckWait)
-            + ledger.energy_in_phase(PhaseTag::Ifs);
-        let cfp_energy =
-            ledger.energy_in_phase(PhaseTag::Gts) + ledger.energy_in_phase(PhaseTag::Downlink);
-        acc.cap_uw.push((cap_energy / window).microwatts());
-        acc.cfp_uw.push((cfp_energy / window).microwatts());
-        acc.ledger.merge(ledger);
-    }
 
-    let delivered = stats.failures.trials() - stats.failures.hits();
-    acc.delivered_payload_bits = delivered as f64 * cfg.channel.packet.payload_bits() as f64;
-    acc.failures = stats.failures;
-    acc.attempts = stats.attempts;
-    // Delays were accumulated in superframes; rescale to seconds once,
-    // exactly, so accumulators from channels with different beacon
-    // intervals merge in common units.
-    acc.delay_secs = stats.delivery_superframes.scaled(t_ib.secs());
-    acc.overruns = stats.overruns;
-    acc.gts_failures = stats.gts_failures;
-    acc.gts_denied = cfg.channel.cfp.gts_denied as u64;
-    acc.downlink_failures = stats.downlink_failures;
-    acc.downlink_deferred = stats.downlink_deferred;
-    acc.deaths = stats.deaths;
-    acc.orphan_scans = stats.orphan_scans;
-    acc.join_failures = join_failures;
-    // Re-association latencies arrive in superframes; rescale once,
-    // like the delivery delays.
-    acc.reassoc_delay_secs = stats.reassoc_superframes.scaled(t_ib.secs());
-    acc.dormant_nodes = stats.dormant_nodes;
-    acc
+        let delivered = stats.failures.trials() - stats.failures.hits();
+        acc.delivered_payload_bits = delivered as f64 * cfg.channel.packet.payload_bits() as f64;
+        acc.failures = stats.failures;
+        acc.attempts = stats.attempts;
+        // Delays were accumulated in superframes; rescale to seconds once,
+        // exactly, so accumulators from channels with different beacon
+        // intervals merge in common units.
+        acc.delay_secs = stats.delivery_superframes.scaled(t_ib.secs());
+        acc.overruns = stats.overruns;
+        acc.gts_failures = stats.gts_failures;
+        acc.gts_denied = cfg.channel.cfp.gts_denied as u64;
+        acc.downlink_failures = stats.downlink_failures;
+        acc.downlink_deferred = stats.downlink_deferred;
+        acc.deaths = stats.deaths;
+        acc.orphan_scans = stats.orphan_scans;
+        acc.join_failures = join_failures;
+        // Re-association latencies arrive in superframes; rescale once,
+        // like the delivery delays.
+        acc.reassoc_delay_secs = stats.reassoc_superframes.scaled(t_ib.secs());
+        acc.dormant_nodes = stats.dormant_nodes;
+        acc
+    }
 }
 
 impl TraceSink for EnergyAccountant<'_> {

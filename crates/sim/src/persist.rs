@@ -28,8 +28,10 @@
 //!   [`Scenario`] carries: deployment geometry, channel allocation,
 //!   per-channel traffic (payloads, GTS demand, downlink), the BER choice
 //!   with per-channel noise/loss offsets, CSMA/retry/beacon parameters,
-//!   the transmit-power policy, the fault plan, replications, the master
-//!   seed and shard count — plus the allocation-policy choice by name.
+//!   the transmit-power policy, the fault plan, replications and the
+//!   master seed — plus the allocation-policy choice by name. The
+//!   retired `shards` key is still required as an unsigned integer but
+//!   ignored, and always written as `1`.
 //!
 //! The batch driver ([`crate::batch`]) executes directories or manifests
 //! of saved scenarios as one deterministic job grid.
@@ -1157,7 +1159,9 @@ pub fn encode_scenario(saved: &SavedScenario) -> Result<Node, SaveError> {
             Node::synth(Value::Bool(s.synchronized_arrivals)),
         ),
         ("faults", faults),
-        ("shards", uint(s.shards as u64)),
+        // Retired spatial-shard count: kept so format-1 renderings (and
+        // their fingerprints) stay byte-identical.
+        ("shards", uint(1)),
         (
             "policy",
             match &saved.policy {
@@ -1475,7 +1479,8 @@ pub fn decode_scenario(root: &Node) -> Result<SavedScenario, ParseError> {
     let min_cap_slots = as_u8(o.get("min_cap_slots")?)?;
     let synchronized_arrivals = as_bool(o.get("synchronized_arrivals")?)?;
     let faults = decode_faults(o.get("faults")?)?;
-    let shards = as_usize(o.get("shards")?)?.max(1);
+    // Retired spatial-shard count: type-checked, then ignored.
+    as_u64(o.get("shards")?)?;
 
     let policy_node = o.get("policy")?;
     let policy = if is_null(policy_node) {
@@ -1510,7 +1515,6 @@ pub fn decode_scenario(root: &Node) -> Result<SavedScenario, ParseError> {
             min_cap_slots,
             synchronized_arrivals,
             faults,
-            shards,
         },
         policy,
     })

@@ -370,12 +370,6 @@ pub struct Scenario {
     /// ([`FaultPlan::inert`] by default — provably invisible; see
     /// [`crate::faults`]).
     pub faults: FaultPlan,
-    /// Spatial shards for the per-node energy accounting of each channel
-    /// job ([`NetworkSimulator::run_accumulate_sharded`]). `1` (the
-    /// default) keeps the serial per-job path; any value is bit-identical
-    /// to it. Raise for single huge channels, where the runner's
-    /// per-channel parallelism alone would pin one core.
-    pub shards: usize,
 }
 
 /// Full-population corruption table for the adaptive policy loop:
@@ -423,7 +417,6 @@ impl Scenario {
             min_cap_slots: 8,
             synchronized_arrivals: false,
             faults: FaultPlan::inert(),
-            shards: 1,
         }
     }
 
@@ -462,14 +455,6 @@ impl Scenario {
     /// Overrides the simulated superframes per replication.
     pub fn with_superframes(mut self, superframes: u32) -> Self {
         self.superframes = superframes;
-        self
-    }
-
-    /// Overrides the spatial-shard count for per-channel energy
-    /// accounting — bit-identical to the serial path for every value
-    /// (see [`NetworkSimulator::run_accumulate_sharded`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -1222,12 +1207,7 @@ impl Scenario {
             // the replication seed written below.
             let mut cfg = cfg.clone();
             cfg.channel.seed = replication_seed(cfg.channel.seed, r);
-            let sim = NetworkSimulator::new(cfg);
-            let acc = if self.shards > 1 {
-                sim.run_accumulate_sharded(&bers[i], self.shards)
-            } else {
-                sim.run_accumulate(&bers[i])
-            };
+            let acc = NetworkSimulator::new(cfg).run_accumulate(&bers[i]);
             (acc, t.elapsed().as_secs_f64() * 1e3)
         });
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -335,8 +335,8 @@ pub struct SinkCounters {
 ///
 /// `line` never contains a newline; the sink supplies framing. An `Err`
 /// from [`emit`](Self::emit) means the line could not be delivered *or*
-/// durably queued — the batch aborts with [`BatchError::Sink`]
-/// (see [`crate::batch::BatchError`]).
+/// durably queued — the batch aborts with
+/// [`BatchError::Sink`](crate::batch::BatchError::Sink).
 pub trait ResultSink {
     /// Delivers (or durably queues) one JSONL record.
     fn emit(&mut self, line: &str) -> io::Result<()>;

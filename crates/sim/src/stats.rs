@@ -309,7 +309,6 @@ impl ContentionAccumulator {
 /// The four contention quantities the analytical model consumes (paper
 /// Figure 6), plus sample counts for error estimation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ContentionStats {
     /// Mean contention duration `T̄_cont` (contention start → transmission
     /// start, or → failure report).

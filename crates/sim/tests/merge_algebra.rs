@@ -382,88 +382,6 @@ fn fault_counters_merge_exactly() {
 }
 
 #[test]
-fn sharded_energy_accounting_is_bit_identical_at_1_3_7_shards() {
-    // The spatial-shard path must reproduce the serial accounting bit for
-    // bit at every shard count — the single-channel analogue of the
-    // runner's thread-count contract. The probe carries CAP, CFP (GTS +
-    // downlink) and fault traffic so every record kind crosses the
-    // engine→shard relay.
-    let ber = EmpiricalCc2420Ber::paper();
-    let mut cfg = small_network(30, 0x5AAD);
-    cfg.channel.superframes = 8;
-    cfg.channel.cfp = wsn_sim::plan_channel_cfp(cfg.channel.nodes as u32, 12, 1, 8, 0.5);
-    cfg.channel.faults = wsn_sim::FaultPlan::inert()
-        .with_churn(0.06, 1, 1)
-        .with_outages(0.12, 1);
-    let sim = NetworkSimulator::new(cfg);
-    let mut reference = sim.run_accumulate(&ber);
-    reference.seal_replication();
-    let want = reference.summary();
-    assert!(want.deaths > 0, "the probe actually churned");
-    assert!(want.gts_transactions > 0, "the probe carried GTS traffic");
-
-    for shards in [1usize, 3, 7] {
-        let mut acc = sim.run_accumulate_sharded(&ber, shards);
-        acc.seal_replication();
-        let got = acc.summary();
-        assert_eq!(
-            got.mean_node_power.microwatts().to_bits(),
-            want.mean_node_power.microwatts().to_bits(),
-            "shards {shards}: mean power"
-        );
-        assert_eq!(got.node_powers.len(), want.node_powers.len());
-        for (i, (a, b)) in got.node_powers.iter().zip(&want.node_powers).enumerate() {
-            assert_eq!(
-                a.microwatts().to_bits(),
-                b.microwatts().to_bits(),
-                "shards {shards}: node {i} power"
-            );
-        }
-        assert_eq!(
-            got.ledger.total_energy().joules().to_bits(),
-            want.ledger.total_energy().joules().to_bits(),
-            "shards {shards}: total energy"
-        );
-        for phase in PhaseTag::ALL {
-            assert_eq!(
-                got.ledger.energy_in_phase(phase).joules().to_bits(),
-                want.ledger.energy_in_phase(phase).joules().to_bits(),
-                "shards {shards}: phase {phase}"
-            );
-        }
-        assert_eq!(got.failure_ratio, want.failure_ratio, "shards {shards}");
-        assert_eq!(got.transactions, want.transactions, "shards {shards}");
-        assert_eq!(
-            got.mean_delay.secs().to_bits(),
-            want.mean_delay.secs().to_bits(),
-            "shards {shards}: delay"
-        );
-        assert_eq!(
-            got.cap_power.microwatts().to_bits(),
-            want.cap_power.microwatts().to_bits(),
-            "shards {shards}: CAP power"
-        );
-        assert_eq!(
-            got.cfp_power.microwatts().to_bits(),
-            want.cfp_power.microwatts().to_bits(),
-            "shards {shards}: CFP power"
-        );
-        assert_eq!(
-            got.gts_failure_ratio, want.gts_failure_ratio,
-            "shards {shards}"
-        );
-        assert_eq!(got.deaths, want.deaths, "shards {shards}");
-        assert_eq!(got.orphan_scans, want.orphan_scans, "shards {shards}");
-        assert_eq!(got.join_attempts, want.join_attempts, "shards {shards}");
-        assert_eq!(
-            got.energy_per_bit_nj.to_bits(),
-            want.energy_per_bit_nj.to_bits(),
-            "shards {shards}: energy/bit"
-        );
-    }
-}
-
-#[test]
 fn sealed_replications_drive_the_standard_errors() {
     let ber = EmpiricalCc2420Ber::paper();
     let mut total = NetworkAccumulator::new();

@@ -207,6 +207,48 @@ fn fingerprints_are_stable_and_config_sensitive() {
     }
 }
 
+/// The retired `shards` key: format 1 still requires it as an unsigned
+/// integer but ignores its value, so a file saying `"shards": 4` loads,
+/// saves back as the unedited fixture (same fingerprint) and runs
+/// bit-identically to it.
+#[test]
+fn shards_key_is_accepted_and_ignored() {
+    let text = fixture_text("churn_outage.json");
+    let edited = text.replace("\"shards\": 1,", "\"shards\": 4,");
+    assert_ne!(edited, text, "the replacement must hit");
+    let original = load_scenario(&text).expect("fixture loads");
+    let loaded = load_scenario(&edited).unwrap_or_else(|e| panic!("\"shards\": 4: {e}"));
+    assert_eq!(
+        save_scenario(&loaded).unwrap(),
+        text,
+        "renders the unedited fixture"
+    );
+    assert_eq!(
+        fingerprint_scenario(&loaded),
+        fingerprint_scenario(&original)
+    );
+
+    let runner = Runner::from_env();
+    let got = loaded.scenario.run(&runner);
+    let want = original.scenario.run(&runner);
+    assert_eq!(got.overall.mean_node_power, want.overall.mean_node_power);
+    assert_eq!(got.overall.failure_ratio, want.overall.failure_ratio);
+    assert_eq!(got.overall.mean_delay, want.overall.mean_delay);
+    assert_eq!(got.overall.transactions, want.overall.transactions);
+    assert_eq!(got.overall.deaths, want.overall.deaths);
+    for (c, (a, b)) in got.per_channel.iter().zip(&want.per_channel).enumerate() {
+        assert_eq!(a.node_powers, b.node_powers, "ch{c}: node powers");
+    }
+
+    let bad = text.replace("\"shards\": 1,", "\"shards\": \"x\",");
+    let err = load_scenario(&bad).expect_err("a string shard count must not decode");
+    assert!(
+        err.expected.contains("integer"),
+        "diagnostic names the expected type: {err}"
+    );
+    assert!(err.line > 1, "position points into the document: {err}");
+}
+
 // ---------------------------------------------------------------------------
 // Malformed input: typed, positioned errors — never panics.
 // ---------------------------------------------------------------------------

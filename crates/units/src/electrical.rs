@@ -20,7 +20,6 @@ use crate::Power;
 /// assert!((shutdown.nanowatts() - 144.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Current(f64);
 
 impl Current {
@@ -135,7 +134,6 @@ impl Mul<Voltage> for Current {
 ///
 /// See [`Current`] for the `I × V = P` conversion.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Voltage(f64);
 
 impl Voltage {

@@ -22,7 +22,6 @@ use crate::{DBm, Energy, Seconds};
 /// assert!((energy.nanojoules() - 712.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Power(f64);
 
 impl Power {
